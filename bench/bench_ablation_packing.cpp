@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     t.add_row({spec.scenarios[s].first, std::to_string(nf.placed),
                std::to_string(bf.placed), std::to_string(nf.dropped),
                std::to_string(bf.dropped),
-               (advantage >= 0 ? "+" : "") + std::to_string(advantage)});
+               std::string(advantage >= 0 ? "+" : "").append(
+                   std::to_string(advantage))});
   }
   std::cout << t
             << "At the paper's 18-rack scale the two variants are nearly "

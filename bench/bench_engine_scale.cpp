@@ -313,8 +313,7 @@ double read_peak_rss_mb() {
 }
 
 /// One streaming row: a pull-based run over the on-demand synthetic
-/// generator with the bounded Log2Histogram as the latency sink (a vector
-/// sink would itself be O(N) memory and defeat the measurement).
+/// generator, with placement latency in the bounded Log2Histogram.
 risa::sim::SchedulerBenchEntry run_streaming_row(const std::string& algo,
                                                  std::size_t count,
                                                  bool profile) {

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <istream>
 #include <limits>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 
-#include "common/binio.hpp"
 #include "common/cycle_clock.hpp"
-#include "common/rng.hpp"
 #include "sim/migration.hpp"
-#include "sim/phase_profiler.hpp"
+#include "sim/run_state.hpp"
 #include "sim/telemetry.hpp"
 
 namespace risa::sim {
@@ -24,12 +21,24 @@ namespace {
 /// noise next to the live census.  Chunk boundaries double as checkpoint
 /// safe points (DESIGN.md §11).
 constexpr std::size_t kArrivalChunk = 1024;
-/// Checkpoint stream magic + format version ("RSK1").
-constexpr std::uint32_t kCheckpointMagic = 0x314B5352u;
 /// Upper bound on size_hint-driven pre-sizing (the record table, calendar
 /// and scan scratch are census-bounded, so reserving past any plausible
 /// live census only wastes RSS on streaming runs).
 constexpr std::uint64_t kCensusReserveCap = 1u << 16;
+constexpr SimTime kNeverTime = std::numeric_limits<SimTime>::infinity();
+
+using des::LifecycleEvent;
+using des::LifecycleKind;
+
+LifecycleKind action_kind(const FaultAction& a) {
+  switch (a.kind) {
+    case FaultAction::Kind::Fail: return LifecycleKind::BoxFail;
+    case FaultAction::Kind::Repair: return LifecycleKind::BoxRepair;
+    case FaultAction::Kind::LinkFail: return LifecycleKind::LinkFail;
+    case FaultAction::Kind::LinkRepair: return LifecycleKind::LinkRepair;
+  }
+  throw std::logic_error("Engine: bad FaultAction kind");
+}
 }  // namespace
 
 Engine::Engine(const Scenario& scenario, const std::string& algorithm)
@@ -102,8 +111,6 @@ SimMetrics Engine::run_impl(wl::ArrivalSource& source,
                             const CheckpointPolicy* ckpt,
                             std::istream* resume) {
   using Clock = std::chrono::steady_clock;
-  using des::LifecycleEvent;
-  using des::LifecycleKind;
   const auto run_t0 = Clock::now();
   // Scheduler timing runs on raw cycle ticks (~5 ns a read vs ~30 ns for
   // steady_clock through the vDSO -- two reads per placement attempt made
@@ -112,1482 +119,94 @@ SimMetrics Engine::run_impl(wl::ArrivalSource& source,
   // steady_clock span the run measures anyway for sim_wall_seconds.
   const std::uint64_t run_ticks0 = CycleClock::now();
 
-  // Phase attribution (sim/phase_profiler.hpp): cycle-clock spans around
-  // the loop's phases, exclusive under nesting.  Disabled, every hook is a
-  // single predictable branch; ticks convert to seconds at the end of the
-  // run alongside sched_ticks.
-  PhaseTimer prof;
-  prof.reset();
-  prof.enable(profiling_);
-
   reset();
-
-  // Run telemetry (sim/telemetry.hpp, DESIGN.md §14): every hook below
-  // rides a branch the loop takes anyway behind `tel != nullptr` -- the
-  // disabled path costs this one pointer copy, no TSC reads, no stores.
-  // `track_power` widens the timeline-only holding-power maintenance to
-  // telemetry's power track; the value feeds observation only (never a
-  // metric), so fingerprints stay byte-identical either way.
-  Telemetry* const tel = telemetry_;
-  const bool track_power =
-      timeline_ != nullptr || (tel != nullptr && tel->category(kTracePower));
-
-  SimMetrics m;
-  m.algorithm = std::string(allocator_->name());
-  m.workload = workload_label;
-
-  phot::PowerLedger ledger(scenario_.photonics, *fabric_);
-
-  // Time-weighted signals.
-  PerResource<TimeWeightedMean> util;
-  TimeWeightedMean intra_util, inter_util;
-  auto sample_signals = [&](SimTime t) {
-    for (ResourceType ty : kAllResources) {
-      util[ty].update(t, cluster_->utilization(ty));
-    }
-    intra_util.update(t, fabric_->intra_utilization());
-    inter_util.update(t, fabric_->inter_utilization());
-  };
-
-  // The run's fault and migration scripts (the scenario's, unless the
-  // sweep layer swapped in other plans for this cell).  `lifecycle` gates
-  // every injected-event branch so the empty-plans event loop stays
-  // byte-for-byte the PR 3 path; `migrating` gates the sweep machinery on
-  // top of it (an empty MigrationPlan is bit-identical to the fault-only
-  // PR 4 loop).
-  const FaultPlan& plan = fault_plan();
-  plan.validate();
-  const MigrationPlan& mig = migration_plan();
-  mig.validate();
-  const bool migrating = !mig.empty();
-  const bool lifecycle = !plan.empty() || migrating;
-  for (const FaultAction& a : plan.actions) {
-    if (a.box != FaultAction::kNoBox && a.box >= cluster_->num_boxes()) {
-      throw std::invalid_argument("Engine: FaultAction box id out of range");
-    }
-    if (a.link != FaultAction::kNoLink && a.link >= fabric_->num_links()) {
-      throw std::invalid_argument("Engine: FaultAction link id out of range");
-    }
-  }
-
-  // Per-VM records, keyed by workload index: created at admission (or
-  // first requeue), erased at the VM's final event, so the table tracks
-  // the live census + pending retries instead of the stream length.
-  vms_.clear();
-  std::size_t live_count = 0;
-
-  // Every pool slot starts free, lowest index on top of the stack, so a
-  // reused engine assigns the same slot sequence as a fresh one.
-  free_slots_.resize(slot_pool_.size());
-  for (std::size_t s = 0; s < free_slots_.size(); ++s) {
-    free_slots_[s] = static_cast<std::uint32_t>(free_slots_.size() - 1 - s);
-  }
-  auto acquire_slot = [&]() -> std::uint32_t {
-    if (free_slots_.empty()) {
-      slot_pool_.emplace_back();
-      return static_cast<std::uint32_t>(slot_pool_.size() - 1);
-    }
-    const std::uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  };
-
-  // Injected events restart their sequence numbering at the source's size
-  // hint so every equal-time tie against a pending arrival (seq = workload
-  // index < N) resolves in the arrival's favor -- the exact order the
-  // closure calendar produced.  A source that cannot know its length
-  // reports 0, which is equally sound: the merge comparison below is
-  // structural (arrivals win ties), so a uniform shift of every injected
-  // seq preserves the heap's relative order and the base is behaviorally
-  // unobservable (DESIGN.md §11).
-  events_.reset(/*first_seq=*/source.size_hint());
-
-  // Pre-size the census-bounded containers from the source's size hint,
-  // capped by the cluster's own hosting bound (every VM holds >= 1 CPU
-  // unit) so a 10M-VM stream reserves for its possible live census, not
-  // its length -- and no rehash/regrow lands inside the measured loop.
-  if (const std::uint64_t hint = source.size_hint(); hint > 0) {
-    const auto cpu_units = static_cast<std::uint64_t>(
-        std::max<Units>(cluster_->total_capacity(ResourceType::Cpu), 0));
-    const std::uint64_t census = std::min(
-        hint, std::min(std::max<std::uint64_t>(cpu_units, 1), kCensusReserveCap));
-    vms_.reserve(static_cast<std::size_t>(census));
-    events_.reserve(static_cast<std::size_t>(census));
-    scan_scratch_.reserve(static_cast<std::size_t>(census));
-  }
-
-  // Lifecycle state: compiled fault triggers + per-VM interval/retry
-  // bookkeeping.  Time-triggered actions enter the calendar up front (in
-  // plan order, so their seq assignment is deterministic); admission-
-  // triggered ones wait in a threshold-sorted queue and are injected at
-  // the admission that crosses their threshold.
-  Rng fault_rng(plan.seed);
-  std::size_t admissions = 0;
-  std::size_t next_admission_action = 0;
-  auto action_kind = [](const FaultAction& a) {
-    switch (a.kind) {
-      case FaultAction::Kind::Fail: return LifecycleKind::BoxFail;
-      case FaultAction::Kind::Repair: return LifecycleKind::BoxRepair;
-      case FaultAction::Kind::LinkFail: return LifecycleKind::LinkFail;
-      case FaultAction::Kind::LinkRepair: return LifecycleKind::LinkRepair;
-    }
-    throw std::logic_error("Engine: bad FaultAction kind");
-  };
-  if (lifecycle) {
-    admission_actions_.clear();
-    for (std::uint32_t i = 0; i < plan.actions.size(); ++i) {
-      const FaultAction& a = plan.actions[i];
-      if (a.time_triggered()) {
-        events_.push(a.at_time, LifecycleEvent{action_kind(a), i, 0});
-      } else {
-        admission_actions_.push_back(i);
-      }
-    }
-    std::stable_sort(admission_actions_.begin(), admission_actions_.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return plan.actions[a].after_admissions <
-                              plan.actions[b].after_admissions;
-                     });
-  }
-
-  // Migration budget + the seed sweep event.  Pushed after the
-  // time-triggered fault actions so the injected seq assignment is
-  // deterministic: plan actions in plan order, then the first MIGRATE,
-  // then stream-order events (DESIGN.md §9 extends the §8 contract).
-  std::uint32_t migration_budget = 0;
-  if (migrating) {
-    migration_budget = mig.total_budget;
-    events_.push(mig.first_sweep_time(),
-                 LifecycleEvent{LifecycleKind::Migrate, 0, 0});
-  }
-
-  // Instantaneous optical holding power, maintained incrementally for the
-  // timeline and telemetry's power track -- `track_power` above (per-VM
-  // deltas live in the VM records).
-  double holding_power_w = 0.0;
-  auto record_timeline = [&](SimTime t) {
-    if (timeline_ == nullptr) return;
-    TimelinePoint p;
-    p.time = t;
-    p.active_vms = live_count;
-    p.placed_total = m.placed;
-    p.dropped_total = m.dropped;
-    p.killed_total = m.killed;
-    p.migrated_total = m.migrated;
-    p.offline_boxes = cluster_->offline_box_count();
-    p.failed_links = fabric_->failed_link_count();
-    for (ResourceType ty : kAllResources) {
-      p.utilization[ty] = cluster_->utilization(ty);
-    }
-    p.intra_net_utilization = fabric_->intra_utilization();
-    p.inter_net_utilization = fabric_->inter_utilization();
-    p.optical_power_w = holding_power_w;
-    timeline_->record(p);
-  };
-
-  std::uint64_t sched_ticks = 0;
-  // Latency samples are pushed as raw tick deltas and rescaled to
-  // nanoseconds at the end of the run, once the tick rate is known.
-  const std::size_t latency_base =
-      latency_sink_ != nullptr ? latency_sink_->size() : 0;
-  SimTime now = 0.0;
-  std::uint64_t executed = 0;
-
-  // Degraded-operation integral: simulated time spent with >= 1 box
-  // offline or link failed, accumulated per inter-event gap (state is
-  // piecewise constant between events, exactly like the utilization
-  // signals).
-  SimTime last_event_t = 0.0;
-  auto note_time = [&](SimTime t) {
-    if (cluster_->offline_box_count() > 0 || fabric_->failed_link_count() > 0) {
-      m.degraded_tu += t - last_event_t;
-    }
-    last_event_t = t;
-  };
-
-  // Arrival intake: chunked pulls from the source into a fixed ring,
-  // validated against the (arrival, index) ordering contract as they
-  // stream in.  Invariant after a top-of-loop refill: an empty ring means
-  // the source is exhausted, so "no arrivals pending" is simply
-  // `ring_pos >= ring_len` everywhere below (the streaming equivalent of
-  // the old materialized `cursor >= n`).
-  if (arrival_ring_.size() < kArrivalChunk) arrival_ring_.resize(kArrivalChunk);
-  std::size_t ring_pos = 0;
-  std::size_t ring_len = 0;
-  bool source_done = false;
-  SimTime last_arrival = 0.0;
-  std::uint32_t last_arrival_index = 0;
-  bool seen_arrival = false;
-  auto refill_ring = [&] {
-    const ScopedCycleSpan<PhaseTimer> span(prof, phase_slot(Phase::SourcePull));
-    ring_len = source.next_batch(
-        std::span<wl::ArrivalItem>(arrival_ring_.data(), kArrivalChunk));
-    ring_pos = 0;
-    if (ring_len == 0) {
-      source_done = true;
-      return;
-    }
-    for (std::size_t i = 0; i < ring_len; ++i) {
-      const wl::ArrivalItem& it = arrival_ring_[i];
-      if (it.vm.lifetime < 0) {
-        throw std::invalid_argument("Engine: negative lifetime in workload");
-      }
-      if (seen_arrival &&
-          (it.vm.arrival < last_arrival ||
-           (it.vm.arrival == last_arrival && it.index <= last_arrival_index))) {
-        throw std::invalid_argument(
-            "Engine: arrival source violates (arrival, index) ordering");
-      }
-      last_arrival = it.vm.arrival;
-      last_arrival_index = it.index;
-      seen_arrival = true;
-    }
-  };
-
-  // One telemetry counter-track sample at sim time `t` (only called with
-  // tel != nullptr; the cadence gate is the caller's sample_due check).
-  auto tel_sample = [&](SimTime t) {
-    Telemetry::CounterSample s;
-    s.live_vms = live_count;
-    s.offline_boxes = cluster_->offline_box_count();
-    s.failed_links = fabric_->failed_link_count();
-    s.arrival_ring_depth = ring_len - ring_pos;
-    s.calendar_events = events_.size();
-    s.holding_power_w = holding_power_w;
-    tel->sample(t, s);
-  };
-
-  // One placement attempt (arrival or retry) for `vm_index`, holding for
-  // `expected` time units when it sticks.  On success all metrics/state
-  // updates happen here -- in the exact order of the historical arrival
-  // path, which keeps the empty-plan run bit-identical.  On failure the
-  // reason lands in `drop_reason` and the caller applies its retry/drop
-  // policy.
-  core::DropReason drop_reason{};
-  // Per-reason drop tallies, enum-indexed: the hot drop path increments a
-  // plain counter instead of string-scanning the CounterSet per drop.
-  // First-seen order is recorded so the end-of-run materialization into
-  // drops_by_reason preserves the insertion order the fingerprint hashes.
-  std::array<std::int64_t, core::kNumDropReasons> drop_counts{};
-  std::array<core::DropReason, core::kNumDropReasons> drop_first_seen{};
-  std::size_t drop_kinds = 0;
-  auto count_drop = [&] {
-    if (drop_counts[static_cast<std::size_t>(drop_reason)]++ == 0) {
-      drop_first_seen[drop_kinds++] = drop_reason;
-    }
-  };
-  std::size_t pending_retries = 0;
-  // `vm` is passed in (not read from the record) because arrivals have no
-  // record yet; record references stay valid across the whole call either
-  // way -- the SlotArena hands out slab-stable references, so even the
-  // success path's insert cannot move a resident record (self-assignment
-  // of a trivially copyable VmRequest through an aliasing `vm` is fine).
-  //
-  // The caller holds the Admission profiler span open: one span per
-  // admission window (or per retry attempt), not one per VM -- the span's
-  // two TSC reads amortize across the window (DESIGN.md §13).
-  //
-  // `defer_push` (plan-free windows only): the departure is staged in
-  // arrival_push_scratch_ instead of pushed, and the caller bulk-flushes
-  // at window close -- seq-identical because no other push interleaves.
-  // `defer_sample` (windows without a timeline): the signal sample is the
-  // caller's job, so equal-time admission runs sample once.
-  auto admit = [&](std::uint32_t vm_index, const wl::VmRequest& vm,
-                   double expected, bool defer_push,
-                   bool defer_sample) -> bool {
-    // Placement attribution is free: the run times every try_place for
-    // scheduler_exec_seconds anyway, so the same two reads are carved out
-    // of the admission span instead of paying two more.
-    const std::uint64_t t0 = CycleClock::now();
-    auto placed = allocator_->try_place(vm);
-    const std::uint64_t t1 = CycleClock::now();
-    prof.carve(phase_slot(Phase::Placement), t1 - t0);
-    sched_ticks += t1 - t0;
-    if (latency_sink_ != nullptr) {
-      latency_sink_->push_back(static_cast<double>(t1 - t0));
-    }
-    if (latency_hist_ != nullptr) {
-      latency_hist_->add(static_cast<double>(t1 - t0));
-    }
-
-    if (!placed.ok()) {
-      drop_reason = placed.error();
-      return false;
-    }
-    const std::uint32_t slot = acquire_slot();
-    core::Placement& p = slot_pool_[slot];
-    p = std::move(placed.value());
-    // Arena insert: direct paged index, and the reference is slab-stable
-    // (a resident key's record never moves -- DESIGN.md §13).
-    VmState& st = vms_.find_or_insert(vm_index);
-    st.vm = vm;
-    st.slot = slot;
-    st.live = 1;
-    ++live_count;
-    ++admissions;
-    if (!lifecycle) {
-      ++m.placed;
-    } else if (!st.ever_placed) {
-      ++m.placed;
-      st.ever_placed = 1;
-    }
-    if (p.inter_rack) ++m.any_pair_inter_rack;
-    if (p.used_fallback) ++m.fallback_placements;
-
-    // Figures 5/7/10 count a VM as inter-rack when its CPU and RAM racks
-    // differ; the same flag drives the RTT sample (pod-aware in the
-    // three-tier extension).  Counted per placement event, so a requeued
-    // VM's re-placement samples again (diagnostic semantics under faults;
-    // identical to the historical per-VM count when the plan is empty).
-    const bool cpu_ram_inter =
-        p.rack(ResourceType::Cpu) != p.rack(ResourceType::Ram);
-    if (cpu_ram_inter) ++m.inter_rack_placements;
-    const bool cross_pod =
-        cpu_ram_inter && !fabric_->same_pod(p.rack(ResourceType::Cpu),
-                                            p.rack(ResourceType::Ram));
-    m.cpu_ram_latency_ns.add(
-        scenario_.latency.rtt_ns(cpu_ram_inter, cross_pod));
-
-    // Open the photonic charging interval at its expected length (Eq. (1)
-    // prepay; a later kill settles the difference -- DESIGN.md §8).  No
-    // ledger span here: the charge is a handful of adds per circuit, and a
-    // TSC pair around it would cost as much as the work it measures -- the
-    // per-arrival charge rides in `admission`; the Ledger phase attributes
-    // the lifecycle-path settlements (kill refunds, migration windows).
-    ledger.charge_vm(*circuits_, vm.id, expected);
-
-    if (track_power) {
-      double vm_power = 0.0;
-      circuits_->for_each_circuit_of(vm.id, [&](const net::Circuit& c) {
-        vm_power +=
-            phot::circuit_holding_power_w(scenario_.photonics, *fabric_, c);
-      });
-      holding_power_w += vm_power;
-      st.holding_power = vm_power;
-    }
-
-    if (!defer_sample) {
-      sample_signals(now);
-      record_timeline(now);
-    }
-    std::uint32_t epoch = 0;
-    if (lifecycle) {
-      st.place_time = now;
-      st.expected_hold = expected;
-      epoch = ++st.epoch;
-    }
-    // The push is the ladder's O(1) append path (DESIGN.md §12) -- cheaper
-    // than a TSC pair, so it rides in `admission` too; the Calendar phase
-    // attributes the dequeue side, where the surfacing work actually lives.
-    if (defer_push) {
-      arrival_push_scratch_.emplace_back(
-          now + expected,
-          LifecycleEvent{LifecycleKind::Departure, vm_index, epoch});
-    } else {
-      events_.push(now + expected,
-                   LifecycleEvent{LifecycleKind::Departure, vm_index, epoch});
-    }
-    return true;
-  };
-  // Inject admission-triggered fault actions whose threshold the latest
-  // successful placement crossed.  They enter the merged stream at `now`
-  // (seq > N), so they fire after the admission that tripped them and
-  // before any later-time event -- deterministically.
-  auto fire_admission_triggers = [&] {
-    while (next_admission_action < admission_actions_.size()) {
-      const std::uint32_t ai = admission_actions_[next_admission_action];
-      const FaultAction& a = plan.actions[ai];
-      if (a.after_admissions > static_cast<std::int64_t>(admissions)) break;
-      ++next_admission_action;
-      events_.push(now, LifecycleEvent{action_kind(a), ai, 0});
-    }
-  };
-
-  // Requeue `vm_index` when the retry budget allows; returns whether a
-  // RETRY event was scheduled.  `pending_retries` keeps the migration
-  // schedule alive across windows where every VM is dead but re-placements
-  // are still coming (the post-failure stragglers are exactly what the
-  // sweeps exist to recover).
-  auto requeue = [&](std::uint32_t vm_index, VmState& st) -> bool {
-    if (plan.retry.max_attempts == 0 ||
-        st.attempts >= plan.retry.max_attempts) {
-      return false;
-    }
-    ++st.attempts;
-    ++m.requeued;
-    ++pending_retries;
-    if (tel != nullptr) tel->requeue(now);
-    events_.push(now + plan.retry.delay_tu,
-                 LifecycleEvent{LifecycleKind::Retry, vm_index, 0});
-    return true;
-  };
-
-  // Kill a resident VM at `now`: settle its charging interval, tear down
-  // circuits + compute, and requeue the remaining hold when policy allows.
-  // When no retry follows, this is the VM's final event and its record is
-  // erased (a stale Departure then tombstones on the missing record,
-  // exactly like the old epoch mismatch).  The caller's `st` reference is
-  // dead after this returns.
-  // Runs inside the caller's open release batch (execute_action brackets
-  // each teardown scan), so compute frees defer their aggregate refresh to
-  // the shared end_release_batch.
-  des::LifecycleKind kill_cause = LifecycleKind::BoxFail;  // set per scan
-  auto kill_vm = [&](std::uint32_t vm_index, VmState& st) {
-    const double held = now - st.place_time;
-    const double unused = st.expected_hold - held;
-    prof.begin(phase_slot(Phase::Ledger));
-    ledger.refund_vm_truncation(*circuits_, st.vm.id, unused);
-    prof.end();
-    allocator_->release_batched(slot_pool_[st.slot]);
-    free_slots_.push_back(st.slot);
-    st.live = 0;
-    --live_count;
-    ++m.killed;
-    if (tel != nullptr) tel->kill(now, kill_cause);
-    if (track_power) {
-      holding_power_w -= st.holding_power;
-      st.holding_power = 0.0;
-    }
-    bool retained = false;
-    if (unused > 0.0) {
-      st.expected_hold = unused;  // the re-placement's hold
-      retained = requeue(vm_index, st);
-    }
-    if (!retained) vms_.erase(vm_index);
-  };
-
-  // Deterministic victim scan: the record arena iterates in slot order
-  // (reuse-dependent), so live VM indices are collected and sorted
-  // ascending before any kill fires -- kills (and their requeues) then
-  // happen in exactly the historical dense-scan order.  kill_vm only
-  // mutates (or erases) the victim's own record, so collect-then-kill is
-  // equivalent to the old interleaved scan over 0..n.
-  auto collect_live_sorted = [&] {
-    scan_scratch_.clear();
-    vms_.for_each([&](std::uint32_t idx, const VmState& st) {
-      if (st.live) scan_scratch_.push_back(idx);
-    });
-    std::sort(scan_scratch_.begin(), scan_scratch_.end());
-  };
-
-  // Execute one scripted fail/repair action.  Random victims are drawn
-  // here, in merged-stream order, from the plan's own RNG stream.
-  // Transitions are idempotent (re-failing an offline victim is a no-op),
-  // so duplicate random draws are harmless.
-  auto execute_action = [&](std::uint32_t action_index, bool fail) {
-    const FaultAction& a = plan.actions[action_index];
-    if (a.targets_links()) {
-      kill_cause = LifecycleKind::LinkFail;
-      const std::uint32_t draws =
-          a.link != FaultAction::kNoLink ? 1 : a.random_links;
-      for (std::uint32_t k = 0; k < draws; ++k) {
-        const LinkId victim =
-            a.link != FaultAction::kNoLink
-                ? LinkId{a.link}
-                : LinkId{static_cast<std::uint32_t>(fault_rng.uniform_int(
-                      0,
-                      static_cast<std::int64_t>(fabric_->num_links()) - 1))};
-        if (fabric_->link(victim).failed() == fail) continue;
-        fabric_->set_link_failed(victim, fail);
-        if (!fail) continue;
-        // Dead-link teardown: every live VM holding a circuit that
-        // traverses the failed link dies (in VM-index order).  The whole
-        // scan is one settlement window: compute frees batch their
-        // per-(rack, type) aggregate refresh behind end_release_batch
-        // (no placement query can interleave with the scan).
-        collect_live_sorted();
-        cluster_->begin_release_batch();
-        for (const std::uint32_t i : scan_scratch_) {
-          VmState* st = vms_.find(i);
-          if (st == nullptr || !st->live) continue;
-          bool hit = false;
-          circuits_->for_each_circuit_of(
-              st->vm.id, [&](const net::Circuit& c) {
-                for (const LinkId lid : c.path.links) {
-                  if (lid == victim) {
-                    hit = true;
-                    break;
-                  }
-                }
-              });
-          if (hit) kill_vm(i, *st);
-        }
-        cluster_->end_release_batch();
-      }
-    } else {
-      kill_cause = LifecycleKind::BoxFail;
-      const std::uint32_t draws =
-          a.box != FaultAction::kNoBox ? 1 : a.random_boxes;
-      for (std::uint32_t k = 0; k < draws; ++k) {
-        const BoxId victim =
-            a.box != FaultAction::kNoBox
-                ? BoxId{a.box}
-                : BoxId{static_cast<std::uint32_t>(fault_rng.uniform_int(
-                      0,
-                      static_cast<std::int64_t>(cluster_->num_boxes()) - 1))};
-        if (cluster_->box_unchecked(victim).offline() == fail) continue;
-        cluster_->set_box_offline(victim, fail);
-        if (!fail) continue;
-        // Offline-box teardown: every resident VM dies with its circuits.
-        // One settlement window per scan, exactly like the link case.
-        collect_live_sorted();
-        cluster_->begin_release_batch();
-        for (const std::uint32_t i : scan_scratch_) {
-          VmState* st = vms_.find(i);
-          if (st == nullptr || !st->live) continue;
-          const core::Placement& p = slot_pool_[st->slot];
-          for (ResourceType t : kAllResources) {
-            if (p.box(t) == victim) {
-              kill_vm(i, *st);
-              break;
-            }
-          }
-        }
-        cluster_->end_release_batch();
-      }
-    }
-    sample_signals(now);
-    record_timeline(now);
-  };
-
-  // One live-migration attempt at `now` (DESIGN.md §9).  Make-before-
-  // break: the new placement is established through the normal allocator
-  // path while the old one still holds its resources (the old boxes are
-  // temporarily taken offline so the search cannot pick them -- restored
-  // before any signal is sampled), then the old circuits and compute are
-  // retired atomically.  The PowerLedger settles with a prepay-and-settle
-  // split: the old circuits are charged through now + cost (the double-
-  // charge window while state drains), the new ones prepay the remaining
-  // hold.  Returns whether the migration committed.  Nothing here inserts
-  // into or erases from the record table, so `st` stays valid throughout.
-  auto try_migrate = [&](std::uint32_t vm_index) -> bool {
-    VmState& st = *vms_.find(vm_index);
-    const wl::VmRequest& vm = st.vm;
-    core::Placement& old_p = slot_pool_[st.slot];
-    const int old_score = migration_spread_score(old_p, *fabric_);
-    const double remaining = st.place_time + st.expected_hold - now;
-    // remaining > cost is guaranteed by the sweep's candidate filter
-    // (same instant, same inputs); both are still needed for settlement.
-    const double cost = migration_cost_tu(
-        mig, vm.ram_mb, old_p.demand.cpu_ram,
-        scenario_.photonics.switch_energy.seconds_per_time_unit);
-    const auto k_old =
-        static_cast<std::uint32_t>(circuits_->circuit_count_of(vm.id));
-
-    // Exclude the current boxes from the search (they are distinct: one
-    // box per resource type), remembering exactly what we toggled.
-    std::array<BoxId, kNumResourceTypes> toggled;
-    std::size_t n_toggled = 0;
-    for (ResourceType t : kAllResources) {
-      const BoxId b = old_p.box(t);
-      if (!cluster_->box_unchecked(b).offline()) {
-        cluster_->set_box_offline(b, true);
-        toggled[n_toggled++] = b;
-      }
-    }
-    // Not counted into scheduler_exec_seconds or the latency sinks:
-    // Figures 11/12 measure admission scheduling only.
-    auto placed = allocator_->try_place(vm);
-    for (std::size_t k = 0; k < n_toggled; ++k) {
-      cluster_->set_box_offline(toggled[k], false);
-    }
-    if (!placed.ok()) return false;  // nowhere better; placement untouched
-
-    core::Placement new_p = std::move(placed.value());
-    if (mig.only_if_improves &&
-        migration_spread_score(new_p, *fabric_) >= old_score) {
-      // No improvement: roll the fresh placement back untouched.  Its
-      // circuits are exactly the suffix after the old placement's.  The
-      // three compute frees settle as one window (no query interleaves).
-      circuits_->teardown_suffix(vm.id, k_old);
-      cluster_->begin_release_batch();
-      for (ResourceType t : kAllResources) {
-        cluster_->release_batched(new_p.compute[index(t)]);
-      }
-      cluster_->end_release_batch();
-      return false;
-    }
-
-    // Settle the ledger at the migration instant: the old circuits (the
-    // prefix, in establishment order) refund their tail beyond the cost
-    // window; the new ones open an interval for the remaining hold.
-    std::size_t pos = 0;
-    prof.begin(phase_slot(Phase::Ledger));
-    circuits_->for_each_circuit_of(vm.id, [&](const net::Circuit& c) {
-      if (pos < k_old) {
-        ledger.refund_circuit_truncation(c, remaining - cost);
-      } else {
-        ledger.charge_circuit(c, remaining);
-      }
-      ++pos;
-    });
-    prof.end();
-
-    // Retire the old placement: circuits, then compute -- the compute
-    // frees batched as one settlement window.
-    circuits_->teardown_prefix(vm.id, k_old);
-    const bool was_inter =
-        old_p.rack(ResourceType::Cpu) != old_p.rack(ResourceType::Ram);
-    cluster_->begin_release_batch();
-    for (ResourceType t : kAllResources) {
-      cluster_->release_batched(old_p.compute[index(t)]);
-    }
-    cluster_->end_release_batch();
-
-    const bool now_inter =
-        new_p.rack(ResourceType::Cpu) != new_p.rack(ResourceType::Ram);
-    old_p = std::move(new_p);  // the VM's pool slot is reused in place
-    st.place_time = now;
-    st.expected_hold = remaining;
-    const std::uint32_t epoch = ++st.epoch;
-    events_.push(now + remaining,
-                 LifecycleEvent{LifecycleKind::Departure, vm_index, epoch});
-
-    ++m.migrated;
-    m.migration_tu += cost;
-    if (was_inter && !now_inter) ++m.interrack_vms_recovered;
-
-    if (track_power) {
-      double vm_power = 0.0;
-      circuits_->for_each_circuit_of(vm.id, [&](const net::Circuit& c) {
-        vm_power +=
-            phot::circuit_holding_power_w(scenario_.photonics, *fabric_, c);
-      });
-      holding_power_w += vm_power - st.holding_power;
-      st.holding_power = vm_power;
-    }
-    sample_signals(now);
-    record_timeline(now);
-    return true;
-  };
-
-  // One defragmentation sweep at `now`: gather the spread live VMs whose
-  // remaining hold outlasts their migration cost, rank them worst-first,
-  // and attempt up to the per-sweep budget.  Slot-order iteration is safe
-  // here: the live/spread counters are order-independent sums, candidate
-  // keys are unique (the packed key embeds the VM index), and
-  // rank_worst_spread totally orders them -- so the ranked sequence is
-  // identical no matter what order candidates were collected in.
-  auto run_migration_sweep = [&] {
-    if (mig.skip_while_degraded && (cluster_->offline_box_count() > 0 ||
-                                    fabric_->failed_link_count() > 0)) {
-      return;
-    }
-    mig_keys_.clear();
-    std::size_t live = 0, spread = 0;
-    vms_.for_each([&](std::uint32_t i, const VmState& st) {
-      if (!st.live) return;
-      ++live;
-      const core::Placement& p = slot_pool_[st.slot];
-      const int score = migration_spread_score(p, *fabric_);
-      if (score <= 0) return;
-      ++spread;  // counts toward the fraction trigger even when doomed
-      // Filter doomed candidates here, not in try_migrate: a near-departure
-      // VM ranked first would otherwise burn a per-sweep attempt slot that
-      // a long-lived straggler could have used.
-      const double remaining = st.place_time + st.expected_hold - now;
-      const double cost = migration_cost_tu(
-          mig, st.vm.ram_mb, p.demand.cpu_ram,
-          scenario_.photonics.switch_energy.seconds_per_time_unit);
-      if (remaining <= cost) return;
-      mig_keys_.push_back(pack_candidate(score, i));
-    });
-    if (mig_keys_.empty() || live == 0) return;
-    if (static_cast<double>(spread) <
-        mig.min_interrack_fraction * static_cast<double>(live)) {
-      return;
-    }
-    const std::size_t budget = std::min<std::size_t>(
-        mig_keys_.size(),
-        std::min<std::size_t>(mig.per_sweep_budget, migration_budget));
-    rank_worst_spread(mig_keys_, budget);
-    for (std::size_t k = 0; k < budget; ++k) {
-      if (try_migrate(candidate_index(mig_keys_[k]))) --migration_budget;
-    }
-  };
-  // ---- Checkpoint format v1 (DESIGN.md §11) ----------------------------
-  // Serialized only at the loop's safe point (arrival ring empty, top of
-  // the merge loop), so no in-flight chunk state exists: every consumed
-  // arrival has been fully admitted/dropped/requeued, and the source's own
-  // position marks the first unconsumed request.  Wall-clock state
-  // (sched_ticks, latency sinks) is deliberately excluded -- it is
-  // measurement, not simulation, and the fingerprint never hashes it.
-  auto put_running_stats = [](std::ostream& os, const RunningStats& rs) {
-    const RunningStats::State s = rs.save();
-    bin::put_u64(os, s.n);
-    bin::put_f64(os, s.mean);
-    bin::put_f64(os, s.m2);
-    bin::put_f64(os, s.sum);
-    bin::put_f64(os, s.min);
-    bin::put_f64(os, s.max);
-  };
-  auto get_running_stats = [](std::istream& is, RunningStats& rs) {
-    RunningStats::State s;
-    s.n = bin::get_u64(is);
-    s.mean = bin::get_f64(is);
-    s.m2 = bin::get_f64(is);
-    s.sum = bin::get_f64(is);
-    s.min = bin::get_f64(is);
-    s.max = bin::get_f64(is);
-    rs.restore(s);
-  };
-  auto put_twm = [](std::ostream& os, const TimeWeightedMean& t) {
-    const TimeWeightedMean::State s = t.save();
-    bin::put_u8(os, s.started);
-    bin::put_f64(os, s.t_first);
-    bin::put_f64(os, s.t_last);
-    bin::put_f64(os, s.value);
-    bin::put_f64(os, s.area);
-    bin::put_f64(os, s.peak);
-  };
-  auto get_twm = [](std::istream& is, TimeWeightedMean& t) {
-    TimeWeightedMean::State s;
-    s.started = bin::get_u8(is);
-    s.t_first = bin::get_f64(is);
-    s.t_last = bin::get_f64(is);
-    s.value = bin::get_f64(is);
-    s.area = bin::get_f64(is);
-    s.peak = bin::get_f64(is);
-    t.restore(s);
-  };
-
-  auto serialize = [&](std::ostream& os) {
-    bin::put_u32(os, kCheckpointMagic);
-    bin::put_str(os, m.workload);
-    bin::put_str(os, algorithm_);
-
-    // Loop scalars.
-    bin::put_f64(os, now);
-    bin::put_f64(os, last_event_t);
-    bin::put_u64(os, executed);
-    bin::put_u64(os, live_count);
-    bin::put_u64(os, admissions);
-    bin::put_u64(os, next_admission_action);
-    bin::put_u64(os, pending_retries);
-    bin::put_u32(os, migration_budget);
-    bin::put_f64(os, last_arrival);
-    bin::put_u32(os, last_arrival_index);
-    bin::put_u8(os, seen_arrival ? 1 : 0);
-
-    // Deterministic metric accumulators.
-    bin::put_u64(os, m.total_vms);
-    bin::put_u64(os, m.placed);
-    bin::put_u64(os, m.dropped);
-    bin::put_u64(os, m.inter_rack_placements);
-    bin::put_u64(os, m.any_pair_inter_rack);
-    bin::put_u64(os, m.fallback_placements);
-    bin::put_u64(os, m.killed);
-    bin::put_u64(os, m.requeued);
-    bin::put_u64(os, m.retry_placed);
-    bin::put_u64(os, m.migrated);
-    bin::put_u64(os, m.interrack_vms_recovered);
-    bin::put_f64(os, m.degraded_tu);
-    bin::put_f64(os, m.migration_tu);
-    put_running_stats(os, m.cpu_ram_latency_ns);
-    bin::put_u64(os, drop_kinds);
-    for (std::size_t k = 0; k < drop_kinds; ++k) {
-      bin::put_u8(os, static_cast<std::uint8_t>(drop_first_seen[k]));
-    }
-    for (const std::int64_t c : drop_counts) bin::put_i64(os, c);
-    for (ResourceType ty : kAllResources) put_twm(os, util[ty]);
-    put_twm(os, intra_util);
-    put_twm(os, inter_util);
-
-    {  // photonic ledger
-      const phot::PowerLedger::State s = ledger.save();
-      bin::put_f64(os, s.total.switch_switching_j);
-      bin::put_f64(os, s.total.switch_trimming_j);
-      bin::put_f64(os, s.total.transceiver_j);
-      bin::put_u64(os, s.charged);
-      bin::put_u64(os, s.refunded);
-      RunningStats pce;
-      pce.restore(s.per_circuit_energy);
-      put_running_stats(os, pce);
-    }
-
-    {  // cluster occupancy + fault flags
-      const topo::ClusterSnapshot snap = cluster_->snapshot();
-      bin::put_u64(os, snap.brick_available.size());
-      for (const auto& box : snap.brick_available) {
-        bin::put_u64(os, box.size());
-        for (const Units u : box) bin::put_i64(os, u);
-      }
-      std::uint64_t n_off = 0;
-      for (std::size_t b = 0; b < cluster_->num_boxes(); ++b) {
-        const BoxId id{static_cast<std::uint32_t>(b)};
-        if (cluster_->box_unchecked(id).offline()) ++n_off;
-      }
-      bin::put_u64(os, n_off);
-      for (std::size_t b = 0; b < cluster_->num_boxes(); ++b) {
-        const auto id = static_cast<std::uint32_t>(b);
-        if (cluster_->box_unchecked(BoxId{id}).offline()) bin::put_u32(os, id);
-      }
-      std::uint64_t n_fail = 0;
-      for (std::size_t l = 0; l < fabric_->num_links(); ++l) {
-        if (fabric_->link(LinkId{static_cast<std::uint32_t>(l)}).failed()) {
-          ++n_fail;
-        }
-      }
-      bin::put_u64(os, n_fail);
-      for (std::size_t l = 0; l < fabric_->num_links(); ++l) {
-        const auto id = static_cast<std::uint32_t>(l);
-        if (fabric_->link(LinkId{id}).failed()) bin::put_u32(os, id);
-      }
-    }
-
-    // VM records in ascending index order (the arena iterates in slot
-    // order); live records carry their placement and circuits, the latter
-    // in establishment order so adopt() replays for_each_circuit_of
-    // identically.  Ascending-index order is also what keeps format v1
-    // stable across the U32Map -> SlotArena move: the bytes depend only
-    // on the record set, never the container (DESIGN.md §13).
-    scan_scratch_.clear();
-    vms_.for_each([&](std::uint32_t idx, const VmState&) {
-      scan_scratch_.push_back(idx);
-    });
-    std::sort(scan_scratch_.begin(), scan_scratch_.end());
-    bin::put_u64(os, scan_scratch_.size());
-    for (const std::uint32_t idx : scan_scratch_) {
-      const VmState& st = *vms_.find(idx);
-      bin::put_u32(os, idx);
-      bin::put_u32(os, st.vm.id.value());
-      bin::put_i64(os, st.vm.cores);
-      bin::put_i64(os, st.vm.ram_mb);
-      bin::put_i64(os, st.vm.storage_mb);
-      bin::put_f64(os, st.vm.arrival);
-      bin::put_f64(os, st.vm.lifetime);
-      bin::put_u32(os, st.attempts);
-      bin::put_u32(os, st.epoch);
-      bin::put_f64(os, st.place_time);
-      bin::put_f64(os, st.expected_hold);
-      bin::put_f64(os, st.holding_power);
-      bin::put_u8(os, st.live);
-      bin::put_u8(os, st.ever_placed);
-      if (!st.live) continue;
-      const core::Placement& p = slot_pool_[st.slot];
-      bin::put_u32(os, p.vm.value());
-      for (ResourceType t : kAllResources) {
-        const topo::BoxAllocation& a = p.compute[index(t)];
-        bin::put_u32(os, a.box.value());
-        bin::put_u8(os, static_cast<std::uint8_t>(a.type));
-        bin::put_i64(os, a.units);
-        bin::put_u64(os, a.slices.size());
-        for (const topo::BrickSlice& s : a.slices) {
-          bin::put_u32(os, s.brick);
-          bin::put_i64(os, s.units);
-        }
-      }
-      for (ResourceType t : kAllResources) {
-        bin::put_u32(os, p.racks[index(t)].value());
-      }
-      for (ResourceType t : kAllResources) bin::put_i64(os, p.units[t]);
-      bin::put_i64(os, p.demand.cpu_ram);
-      bin::put_i64(os, p.demand.ram_sto);
-      bin::put_u8(os, p.inter_rack ? 1 : 0);
-      bin::put_u8(os, p.used_fallback ? 1 : 0);
-      bin::put_u64(os, circuits_->circuit_count_of(st.vm.id));
-      circuits_->for_each_circuit_of(st.vm.id, [&](const net::Circuit& c) {
-        bin::put_u32(os, c.id.value());
-        bin::put_u32(os, c.vm.value());
-        bin::put_u8(os, static_cast<std::uint8_t>(c.flow));
-        bin::put_i64(os, c.bandwidth);
-        bin::put_u64(os, c.path.links.size());
-        for (const LinkId l : c.path.links) bin::put_u32(os, l.value());
-        bin::put_u64(os, c.path.switches.size());
-        for (const SwitchId s : c.path.switches) bin::put_u32(os, s.value());
-        bin::put_u8(os, c.path.inter_rack ? 1 : 0);
-      });
-    }
-    bin::put_u32(os, circuits_->next_id());
-
-    // Injected-event calendar as the canonical sorted (time, seq) entry
-    // sequence -- the ladder's tier structure is an implementation detail
-    // (DESIGN.md §12).  Restore accepts any entry order, so v1 checkpoints
-    // (verbatim heap arrays) stay readable; note a sorted sequence is
-    // itself a valid heap array, so the format is compatible both ways.
-    bin::put_u64(os, events_.scheduled_total());
-    const auto entries = events_.sorted_entries();
-    bin::put_u64(os, entries.size());
-    for (const auto& e : entries) {
-      bin::put_f64(os, e.time);
-      bin::put_u64(os, e.seq);
-      bin::put_u8(os, static_cast<std::uint8_t>(e.payload.kind));
-      bin::put_u32(os, e.payload.subject);
-      bin::put_u32(os, e.payload.epoch);
-    }
-
-    for (const std::uint64_t w : fault_rng.generator().state()) {
-      bin::put_u64(os, w);
-    }
-    allocator_->save_state(os);
-    source.save_position(os);
-  };
-
-  auto restore = [&](std::istream& is) {
-    if (bin::get_u32(is) != kCheckpointMagic) {
-      throw std::runtime_error("checkpoint: bad magic");
-    }
-    m.workload = bin::get_str(is);
-    const std::string algo = bin::get_str(is);
-    if (algo != algorithm_) {
-      throw std::runtime_error("checkpoint: algorithm mismatch (checkpoint '" +
-                               algo + "', engine '" + algorithm_ + "')");
-    }
-    now = bin::get_f64(is);
-    last_event_t = bin::get_f64(is);
-    executed = bin::get_u64(is);
-    live_count = static_cast<std::size_t>(bin::get_u64(is));
-    admissions = static_cast<std::size_t>(bin::get_u64(is));
-    next_admission_action = static_cast<std::size_t>(bin::get_u64(is));
-    pending_retries = static_cast<std::size_t>(bin::get_u64(is));
-    migration_budget = bin::get_u32(is);
-    last_arrival = bin::get_f64(is);
-    last_arrival_index = bin::get_u32(is);
-    seen_arrival = bin::get_u8(is) != 0;
-
-    m.total_vms = static_cast<std::size_t>(bin::get_u64(is));
-    m.placed = static_cast<std::size_t>(bin::get_u64(is));
-    m.dropped = static_cast<std::size_t>(bin::get_u64(is));
-    m.inter_rack_placements = static_cast<std::size_t>(bin::get_u64(is));
-    m.any_pair_inter_rack = static_cast<std::size_t>(bin::get_u64(is));
-    m.fallback_placements = static_cast<std::size_t>(bin::get_u64(is));
-    m.killed = static_cast<std::size_t>(bin::get_u64(is));
-    m.requeued = static_cast<std::size_t>(bin::get_u64(is));
-    m.retry_placed = static_cast<std::size_t>(bin::get_u64(is));
-    m.migrated = static_cast<std::size_t>(bin::get_u64(is));
-    m.interrack_vms_recovered = static_cast<std::size_t>(bin::get_u64(is));
-    m.degraded_tu = bin::get_f64(is);
-    m.migration_tu = bin::get_f64(is);
-    get_running_stats(is, m.cpu_ram_latency_ns);
-    drop_kinds = static_cast<std::size_t>(bin::get_u64(is));
-    if (drop_kinds > core::kNumDropReasons) {
-      throw std::runtime_error("checkpoint: bad drop table");
-    }
-    for (std::size_t k = 0; k < drop_kinds; ++k) {
-      const std::uint8_t r = bin::get_u8(is);
-      if (r >= core::kNumDropReasons) {
-        throw std::runtime_error("checkpoint: bad drop reason");
-      }
-      drop_first_seen[k] = static_cast<core::DropReason>(r);
-    }
-    for (std::int64_t& c : drop_counts) c = bin::get_i64(is);
-    for (ResourceType ty : kAllResources) get_twm(is, util[ty]);
-    get_twm(is, intra_util);
-    get_twm(is, inter_util);
-
-    {  // photonic ledger
-      phot::PowerLedger::State s;
-      s.total.switch_switching_j = bin::get_f64(is);
-      s.total.switch_trimming_j = bin::get_f64(is);
-      s.total.transceiver_j = bin::get_f64(is);
-      s.charged = bin::get_u64(is);
-      s.refunded = bin::get_u64(is);
-      RunningStats pce;
-      get_running_stats(is, pce);
-      s.per_circuit_energy = pce.save();
-      ledger.restore(s);
-    }
-
-    std::vector<std::uint32_t> failed_links;
-    {  // cluster occupancy + fault flags
-      topo::ClusterSnapshot snap;
-      const std::uint64_t n_boxes = bin::get_u64(is);
-      if (n_boxes != cluster_->num_boxes()) {
-        throw std::runtime_error("checkpoint: cluster shape mismatch");
-      }
-      snap.brick_available.resize(n_boxes);
-      for (std::size_t b = 0; b < n_boxes; ++b) {
-        const std::uint64_t n_bricks = bin::get_u64(is);
-        const topo::Box& box =
-            cluster_->box_unchecked(BoxId{static_cast<std::uint32_t>(b)});
-        if (n_bricks != box.brick_count()) {
-          throw std::runtime_error("checkpoint: cluster shape mismatch");
-        }
-        snap.brick_available[b].resize(n_bricks);
-        for (Units& u : snap.brick_available[b]) u = bin::get_i64(is);
-      }
-      cluster_->restore(snap);  // also clears every offline flag
-      const std::uint64_t n_off = bin::get_u64(is);
-      for (std::uint64_t k = 0; k < n_off; ++k) {
-        const std::uint32_t id = bin::get_u32(is);
-        if (id >= cluster_->num_boxes()) {
-          throw std::runtime_error("checkpoint: box id out of range");
-        }
-        cluster_->set_box_offline(BoxId{id}, true);
-      }
-      const std::uint64_t n_fail = bin::get_u64(is);
-      for (std::uint64_t k = 0; k < n_fail; ++k) {
-        const std::uint32_t id = bin::get_u32(is);
-        if (id >= fabric_->num_links()) {
-          throw std::runtime_error("checkpoint: link id out of range");
-        }
-        // Deferred: circuits must be adopted (bandwidth reserved) first --
-        // a consistent checkpoint has no live circuit over a failed link,
-        // but the fabric cannot know that until the reservations exist.
-        failed_links.push_back(id);
-      }
-    }
-
-    const std::uint64_t n_rec = bin::get_u64(is);
-    std::size_t restored_live = 0;
-    for (std::uint64_t r = 0; r < n_rec; ++r) {
-      const std::uint32_t idx = bin::get_u32(is);
-      VmState st;
-      st.vm.id = VmId{bin::get_u32(is)};
-      st.vm.cores = bin::get_i64(is);
-      st.vm.ram_mb = bin::get_i64(is);
-      st.vm.storage_mb = bin::get_i64(is);
-      st.vm.arrival = bin::get_f64(is);
-      st.vm.lifetime = bin::get_f64(is);
-      st.attempts = bin::get_u32(is);
-      st.epoch = bin::get_u32(is);
-      st.place_time = bin::get_f64(is);
-      st.expected_hold = bin::get_f64(is);
-      st.holding_power = bin::get_f64(is);
-      st.live = bin::get_u8(is);
-      st.ever_placed = bin::get_u8(is);
-      if (st.live) {
-        ++restored_live;
-        core::Placement p;
-        p.vm = VmId{bin::get_u32(is)};
-        for (ResourceType t : kAllResources) {
-          topo::BoxAllocation& a = p.compute[index(t)];
-          a.box = BoxId{bin::get_u32(is)};
-          a.type = static_cast<ResourceType>(bin::get_u8(is));
-          a.units = bin::get_i64(is);
-          const std::uint64_t n_slices = bin::get_u64(is);
-          a.slices.clear();
-          for (std::uint64_t si = 0; si < n_slices; ++si) {
-            const std::uint32_t brick = bin::get_u32(is);
-            const Units u = bin::get_i64(is);
-            a.slices.push_back(topo::BrickSlice{brick, u});
-          }
-        }
-        for (ResourceType t : kAllResources) {
-          p.racks[index(t)] = RackId{bin::get_u32(is)};
-        }
-        for (ResourceType t : kAllResources) p.units[t] = bin::get_i64(is);
-        p.demand.cpu_ram = bin::get_i64(is);
-        p.demand.ram_sto = bin::get_i64(is);
-        p.inter_rack = bin::get_u8(is) != 0;
-        p.used_fallback = bin::get_u8(is) != 0;
-        // Slot numbering is internal (never observable through metrics or
-        // events), so ascending-record-order assignment here need not
-        // match the checkpointing run's interleaved acquire/free history.
-        st.slot = acquire_slot();
-        slot_pool_[st.slot] = std::move(p);
-        holding_power_w += st.holding_power;
-        const std::uint64_t n_circ = bin::get_u64(is);
-        for (std::uint64_t ci = 0; ci < n_circ; ++ci) {
-          net::Circuit c;
-          c.id = CircuitId{bin::get_u32(is)};
-          c.vm = VmId{bin::get_u32(is)};
-          c.flow = static_cast<net::FlowKind>(bin::get_u8(is));
-          c.bandwidth = bin::get_i64(is);
-          const std::uint64_t nl = bin::get_u64(is);
-          for (std::uint64_t li = 0; li < nl; ++li) {
-            c.path.links.push_back(LinkId{bin::get_u32(is)});
-          }
-          const std::uint64_t ns = bin::get_u64(is);
-          for (std::uint64_t si = 0; si < ns; ++si) {
-            c.path.switches.push_back(SwitchId{bin::get_u32(is)});
-          }
-          c.path.inter_rack = bin::get_u8(is) != 0;
-          circuits_->adopt(std::move(c));
-        }
-      }
-      vms_.find_or_insert(idx) = std::move(st);
-    }
-    if (restored_live != live_count) {
-      throw std::runtime_error("checkpoint: live record count mismatch");
-    }
-    circuits_->set_next_id(bin::get_u32(is));
-    for (const std::uint32_t id : failed_links) {
-      fabric_->set_link_failed(LinkId{id}, true);
-    }
-
-    {  // injected-event calendar
-      const std::uint64_t next_seq = bin::get_u64(is);
-      const std::uint64_t n_entries = bin::get_u64(is);
-      std::vector<decltype(events_)::Entry> entries;
-      entries.reserve(n_entries);
-      for (std::uint64_t k = 0; k < n_entries; ++k) {
-        decltype(events_)::Entry e;
-        e.time = bin::get_f64(is);
-        e.seq = bin::get_u64(is);
-        const std::uint8_t kind = bin::get_u8(is);
-        if (kind > static_cast<std::uint8_t>(LifecycleKind::Migrate)) {
-          throw std::runtime_error("checkpoint: bad event kind");
-        }
-        e.payload.kind = static_cast<LifecycleKind>(kind);
-        e.payload.subject = bin::get_u32(is);
-        e.payload.epoch = bin::get_u32(is);
-        entries.push_back(e);
-      }
-      events_.restore(std::move(entries), next_seq);
-    }
-
-    Xoshiro256::State rng_state;
-    for (std::uint64_t& w : rng_state) w = bin::get_u64(is);
-    fault_rng.generator().set_state(rng_state);
-    allocator_->restore_state(is);
-    source.restore_position(is);
-  };
+  RunState s(*this, source, ckpt, workload_label);
+  s.prepare();
   if (resume != nullptr) {
-    restore(*resume);
+    s.load(*resume);
   } else {
-    sample_signals(0.0);
+    s.sample_signals(0.0);
   }
-  if (tel != nullptr) {
+  if (s.tel != nullptr) {
     // After restore: the sampler re-arms at the restored `now` (fresh
     // runs at 0), so a resumed run's telemetry continues cleanly without
     // any state having crossed the checkpoint.
-    tel->begin_run(algorithm_, m.workload, now);
-    tel_sample(now);
+    s.tel->begin_run(algorithm_, s.m.workload, s.now);
+    s.tel_sample(s.now);
   }
-  std::uint64_t last_ckpt_executed = executed;
-  auto maybe_checkpoint = [&] {
-    if (ckpt == nullptr || ckpt->every_events == 0 || !ckpt->emit) return;
-    if (executed - last_ckpt_executed < ckpt->every_events) return;
-    last_ckpt_executed = executed;
-    const ScopedCycleSpan<PhaseTimer> span(prof, phase_slot(Phase::Checkpoint));
-    std::ostringstream os(std::ios::out | std::ios::binary);
-    serialize(os);
-    ckpt->emit(os.str());
-  };
+  s.last_ckpt_executed = s.executed;
 
   // The merged event loop.  Next event = min over the arrival ring head
-  // (time = arrival, seq = index) and the injected-event heap top; at
+  // (time = arrival, seq = index) and the injected-event calendar head; at
   // equal times the arrival's smaller seq wins, so the comparison reduces
-  // to arrival_time <= injected_time.
+  // to arrival_time <= injected_time.  Each event kind has one handler.
   //
   // The whole loop runs under the Merge span: every other phase span nests
   // inside it, and with exclusive attribution (CycleSpanStack) the Merge
   // slot collects exactly the loop's residual scaffolding -- ring
-  // bookkeeping, the window condition, event dispatch -- which PR 8 left
-  // as the unattributed sum-vs-wall gap (DESIGN.md §13).
-  constexpr SimTime kNeverTime = std::numeric_limits<SimTime>::infinity();
+  // bookkeeping, the window condition, event dispatch (DESIGN.md §13).
+  PhaseTimer& prof = s.prof;
   prof.begin(phase_slot(Phase::Merge));
   while (true) {
-    if (ring_pos >= ring_len && !source_done) {
+    if (s.ring_pos >= s.ring_len && !s.source_done) {
       // Chunk boundary: every pulled arrival is fully settled, so this is
       // the checkpoint safe point -- snapshot (if due), then refill.
-      maybe_checkpoint();
-      refill_ring();
+      s.maybe_checkpoint();
+      s.refill_ring();
     }
-    const bool have_arrival = ring_pos < ring_len;
+    const bool have_arrival = s.ring_pos < s.ring_len;
     if (!have_arrival && events_.empty()) break;
     // The Calendar span brackets the merge query *and* the pop: the
     // ladder's real dequeue work (lazy tier surfacing) runs inside
     // next_time(), not inside the subsequent cursor-bump pop.
     prof.begin(phase_slot(Phase::Calendar));
-    SimTime limit = events_.empty() ? kNeverTime : events_.next_time();
-    const bool take_arrival =
-        have_arrival && arrival_ring_[ring_pos].vm.arrival <= limit;
-
-    if (take_arrival) {
+    const SimTime limit = events_.empty() ? kNeverTime : events_.next_time();
+    if (have_arrival && arrival_ring_[s.ring_pos].vm.arrival <= limit) {
       prof.end();
-      // ---- Admission window (DESIGN.md §13) --------------------------
-      // The maximal run of ring arrivals that sorts before the calendar
-      // head is admitted under one bracket: one Admission span, batched
-      // executed/total_vms counters, and the per-event branches hoisted
-      // to per-window checks.  `limit` makes the inner loop exact: it
-      // starts at the calendar head and is lowered by every push the
-      // window performs (a deferred departure at now+expected directly;
-      // any lifecycle push -- retry, trigger, departure -- by re-reading
-      // next_time()), so "arrival <= limit" is precisely the merge
-      // comparison the per-event loop would have made, ties included
-      // (arrivals win every equal-time tie structurally).  No injected
-      // event can execute inside a window, which is what licenses the
-      // hoists below:
-      //   - degraded: fault state only changes via events, so the
-      //     note_time() branch is per-window; when healthy, degraded_tu
-      //     accumulates nothing and last_event_t advances once at close.
-      //     When degraded, per-event note_time keeps the FP-exact
-      //     per-gap sum.
-      //   - defer_sample (no timeline attached): only admissions move
-      //     utilization inside a window and equal-time TWM samples add
-      //     zero area, so an equal-time admission run samples once, at
-      //     its last success -- value and area exact, and peak too
-      //     because utilization only rises across the run.  Samples at
-      //     distinct times still happen per event (the flush below runs
-      //     before the next placement can move utilization).
-      //   - defer_push (plan-free runs): departure pushes stage in
-      //     arrival_push_scratch_ and bulk-flush at window close with
-      //     identical seq assignment, since no retry/trigger push can
-      //     interleave without a plan.
-      const bool defer_push = admission_batching_ && !lifecycle;
-      const bool defer_sample = admission_batching_ && timeline_ == nullptr;
-      const bool degraded =
-          lifecycle && (cluster_->offline_box_count() > 0 ||
-                        fabric_->failed_link_count() > 0);
-      bool sample_pending = false;
-      SimTime sample_t = 0.0;
-      std::uint64_t window_events = 0;
-      const SimTime window_t0 =
-          tel != nullptr ? arrival_ring_[ring_pos].vm.arrival : SimTime{0};
-      const std::uint64_t placed_before = tel != nullptr ? m.placed : 0;
-      if (defer_push) arrival_push_scratch_.clear();
-      prof.begin(phase_slot(Phase::Admission));
-      do {
-        const wl::ArrivalItem& item = arrival_ring_[ring_pos++];
-        const std::uint32_t vm_index = item.index;
-        now = item.vm.arrival;
-        if (degraded) note_time(now);
-        ++window_events;
-        if (sample_pending && now != sample_t) {
-          // Time advanced past a deferred equal-time sample: utilization
-          // has not moved since (only drops in between), so sampling the
-          // current state at sample_t is exact.
-          sample_signals(sample_t);
-          sample_pending = false;
-        }
-        if (admit(vm_index, item.vm, item.vm.lifetime, defer_push,
-                  defer_sample)) {
-          if (defer_sample) {
-            sample_pending = true;
-            sample_t = now;
-          }
-          if (defer_push) {
-            limit = std::min(limit, arrival_push_scratch_.back().first);
-          }
-          if (lifecycle) fire_admission_triggers();
-        } else {
-          bool queued = false;
-          if (lifecycle && plan.retry.max_attempts > 0) {
-            // First requeue of a never-admitted VM creates its record (the
-            // retry path needs the request after the ring moves on).
-            VmState& st = vms_.find_or_insert(vm_index);
-            st.vm = item.vm;
-            queued = requeue(vm_index, st);
-            if (!queued) vms_.erase(vm_index);
-          }
-          if (!queued) {
-            ++m.dropped;
-            count_drop();
-            if (tel != nullptr) tel->drop(now, drop_reason);
-          }
-        }
-        if (lifecycle) {
-          // Lifecycle pushes (retries, triggers, epoch-stamped
-          // departures) interleave with the window, so the head is
-          // re-read rather than tracked incrementally.
-          limit = events_.empty() ? kNeverTime : events_.next_time();
-        }
-        if (!admission_batching_) break;  // per-event reference mode
-      } while (ring_pos < ring_len &&
-               arrival_ring_[ring_pos].vm.arrival <= limit);
-      if (sample_pending) sample_signals(sample_t);
-      if (defer_push && !arrival_push_scratch_.empty()) {
-        events_.push_bulk(arrival_push_scratch_);
-      }
-      executed += window_events;
-      m.total_vms += window_events;
-      if (lifecycle && !degraded) last_event_t = now;
-      prof.end();
-      if (tel != nullptr) {
-        tel->admission_window(window_t0, now, window_events,
-                              m.placed - placed_before);
-        if (tel->sample_due(now)) tel_sample(now);
-      }
-    } else {
-      const auto e = events_.pop();
-      prof.end();
-      switch (e.payload.kind) {
-        case LifecycleKind::Departure: {
-          VmState* st = vms_.find(e.payload.subject);
-          if (st == nullptr || !st->live ||
-              (lifecycle && e.payload.epoch != st->epoch)) {
-            if (!lifecycle) {
-              throw std::logic_error("Engine: departure for unknown placement");
-            }
-            break;  // tombstone: this placement was killed by a box failure
-          }
-          now = e.time;
-          if (lifecycle) note_time(now);
-          // Settlement window (DESIGN.md §12): the whole same-timestamp
-          // departure run is drained out of the calendar into a scratch
-          // batch first (ties are contiguous at the ladder's sorted bottom
-          // tier), then settled under one begin/end_release_batch bracket:
-          // the per-rack aggregate/index refresh is deferred and
-          // deduplicated across the run, box ledgers / cluster totals /
-          // circuits settle per event, and the time-weighted signals are
-          // sampled once per window -- bit-identical to per-event
-          // sampling, because equal-time samples add zero area and
-          // releases only lower utilization, so they can never set a peak
-          // (timeline runs keep per-event samples: the exported series is
-          // observable output).  No placement can interleave: equal-time
-          // arrivals were all consumed before this event (arrivals win
-          // every (time, seq) tie), and any other injected kind ends the
-          // run since events leave the calendar in (time, seq) order.
-          // One span for the whole window (drain + settle): batches are
-          // usually singletons, so a second TSC pair per batch would cost
-          // more than the drain it measures.  The drained pops are cursor
-          // bumps off the already-surfaced bottom tier; the Calendar phase
-          // attributes the main-loop pop, where surfacing actually runs.
-          prof.begin(phase_slot(Phase::Settlement));
-          batch_scratch_.clear();
-          batch_scratch_.push_back(e);
-          while (!events_.empty() && events_.next_time() == now &&
-                 events_.top().payload.kind == LifecycleKind::Departure) {
-            batch_scratch_.push_back(events_.pop());
-          }
-          cluster_->begin_release_batch();
-          for (const auto& d : batch_scratch_) {
-            const std::uint32_t vm_index = d.payload.subject;
-            VmState* dst = vms_.find(vm_index);
-            if (dst == nullptr || !dst->live ||
-                (lifecycle && d.payload.epoch != dst->epoch)) {
-              if (!lifecycle) {
-                throw std::logic_error(
-                    "Engine: departure for unknown placement");
-              }
-              continue;  // tombstone inside the window
-            }
-            ++executed;
-            allocator_->release_batched(slot_pool_[dst->slot]);
-            free_slots_.push_back(dst->slot);
-            --live_count;
-            if (track_power) holding_power_w -= dst->holding_power;
-            if (timeline_ != nullptr) {
-              sample_signals(now);
-              record_timeline(now);
-            }
-            // The departure is the VM's final event: erase its record
-            // (the slot is recycled, so `dst` dies here).
-            vms_.erase(vm_index);
-          }
-          cluster_->end_release_batch();
-          if (timeline_ == nullptr) sample_signals(now);
-          prof.end();
-          if (tel != nullptr) {
-            tel->settlement_window(now, batch_scratch_.size());
-            if (tel->sample_due(now)) tel_sample(now);
-          }
-          break;
-        }
-        case LifecycleKind::BoxFail:
-        case LifecycleKind::BoxRepair:
-        case LifecycleKind::LinkFail:
-        case LifecycleKind::LinkRepair: {
-          now = e.time;
-          note_time(now);
-          ++executed;
-          {
-            const ScopedCycleSpan<PhaseTimer> span(
-                prof, phase_slot(Phase::Settlement));
-            execute_action(e.payload.subject,
-                           e.payload.kind == LifecycleKind::BoxFail ||
-                               e.payload.kind == LifecycleKind::LinkFail);
-          }
-          if (tel != nullptr) {
-            tel->fault(now, e.payload.kind);
-            if (tel->sample_due(now)) tel_sample(now);
-          }
-          break;
-        }
-        case LifecycleKind::Migrate: {
-          // A sweep landing after the run's real work (no pending arrivals,
-          // nothing live, no retries in flight) is skipped like a
-          // tombstone: it neither advances the horizon nor reschedules, so
-          // periodic plans terminate.  `ring_pos >= ring_len` here implies
-          // the source is exhausted (see the refill invariant above).
-          if (ring_pos >= ring_len && live_count == 0 &&
-              pending_retries == 0) {
-            break;
-          }
-          now = e.time;
-          note_time(now);
-          ++executed;
-          const std::uint64_t migrated_before =
-              tel != nullptr ? m.migrated : 0;
-          {
-            const ScopedCycleSpan<PhaseTimer> span(
-                prof, phase_slot(Phase::Settlement));
-            run_migration_sweep();
-          }
-          if (tel != nullptr) {
-            tel->migration_sweep(now, m.migrated - migrated_before);
-            if (tel->sample_due(now)) tel_sample(now);
-          }
-          if (migration_budget > 0 &&
-              (ring_pos < ring_len || live_count > 0 || pending_retries > 0)) {
-            events_.push(now + mig.period_tu,
-                         LifecycleEvent{LifecycleKind::Migrate,
-                                        e.payload.subject + 1, 0});
-          }
-          break;
-        }
-        case LifecycleKind::Retry: {
-          const std::uint32_t vm_index = e.payload.subject;
-          --pending_retries;
-          now = e.time;
-          note_time(now);
-          ++executed;
-          VmState* st = vms_.find(vm_index);
-          if (st == nullptr) {
-            throw std::logic_error("Engine: retry for unknown VM");
-          }
-          // `st` stays valid through the attempt either way: arena
-          // records are slab-stable, so a successful admit's re-insert of
-          // the same key cannot move it (DESIGN.md §13).
-          const bool was_placed = st->ever_placed != 0;
-          const double expected =
-              was_placed ? st->expected_hold : st->vm.lifetime;
-          prof.begin(phase_slot(Phase::Admission));
-          const bool readmitted = admit(vm_index, st->vm, expected,
-                                        /*defer_push=*/false,
-                                        /*defer_sample=*/false);
-          prof.end();
-          if (readmitted) {
-            ++m.retry_placed;
-            fire_admission_triggers();
-          } else if (!requeue(vm_index, *st)) {
-            // Retry budget exhausted: the VM's final event, so the record
-            // goes.  A VM that never ran is a final drop (killed VMs
-            // already count in `placed`; their lost remainder is visible
-            // through `killed` and the settled energy).
-            if (!was_placed) {
-              ++m.dropped;
-              count_drop();
-              if (tel != nullptr) tel->drop(now, drop_reason);
-            }
-            vms_.erase(vm_index);
-          }
-          if (tel != nullptr) tel->retry(now, readmitted);
-          break;
-        }
-        case LifecycleKind::Arrival:
-          throw std::logic_error("Engine: arrival event in injected calendar");
-      }
+      s.on_admission_window(limit);
+      continue;
+    }
+    const auto e = events_.pop();
+    prof.end();
+    switch (e.payload.kind) {
+      case LifecycleKind::Departure: s.on_departure_window(e); break;
+      case LifecycleKind::BoxFail:
+      case LifecycleKind::BoxRepair:
+      case LifecycleKind::LinkFail:
+      case LifecycleKind::LinkRepair: s.on_fault(e); break;
+      case LifecycleKind::Migrate: s.on_migrate(e); break;
+      case LifecycleKind::Retry: s.on_retry(e); break;
+      case LifecycleKind::Arrival:
+        throw std::logic_error("Engine: arrival event in injected calendar");
     }
   }
   prof.end();  // Merge: the loop's residual scaffolding
 
-  m.horizon_tu = now;
+  // End-of-run settlement: derived metrics, then the conservation checks.
+  SimMetrics& m = s.m;
+  m.horizon_tu = s.now;
   if (m.horizon_tu <= 0.0) m.horizon_tu = 1.0;  // degenerate empty workload
-  m.events_executed = executed;
-  for (std::size_t k = 0; k < drop_kinds; ++k) {
+  m.events_executed = s.executed;
+  for (std::size_t k = 0; k < s.drop_kinds; ++k) {
     m.drops_by_reason.increment(
-        core::name(drop_first_seen[k]),
-        drop_counts[static_cast<std::size_t>(drop_first_seen[k])]);
+        core::name(s.drop_first_seen[k]),
+        s.drop_counts[static_cast<std::size_t>(s.drop_first_seen[k])]);
   }
-
   for (ResourceType ty : kAllResources) {
-    m.avg_utilization[ty] = util[ty].mean(m.horizon_tu);
-    m.peak_utilization[ty] = util[ty].peak();
+    m.avg_utilization[ty] = s.util[ty].mean(m.horizon_tu);
+    m.peak_utilization[ty] = s.util[ty].peak();
   }
-  m.avg_intra_net_utilization = intra_util.mean(m.horizon_tu);
-  m.avg_inter_net_utilization = inter_util.mean(m.horizon_tu);
-  m.peak_intra_net_utilization = intra_util.peak();
-  m.peak_inter_net_utilization = inter_util.peak();
-  m.energy = ledger.totals();
-  m.avg_optical_power_w = ledger.average_power_w(m.horizon_tu);
+  m.avg_intra_net_utilization = s.intra_util.mean(m.horizon_tu);
+  m.avg_inter_net_utilization = s.inter_util.mean(m.horizon_tu);
+  m.peak_intra_net_utilization = s.intra_util.peak();
+  m.peak_inter_net_utilization = s.inter_util.peak();
+  m.energy = s.ledger.totals();
+  m.avg_optical_power_w = s.ledger.average_power_w(m.horizon_tu);
 
   if (m.placed + m.dropped != m.total_vms) {
     throw std::logic_error("Engine: placement accounting mismatch");
   }
-  if (live_count != 0) {
+  if (s.live_count != 0) {
     throw std::logic_error("Engine: placements leaked past their departure");
   }
   if (!vms_.empty()) {
@@ -1607,20 +226,891 @@ SimMetrics Engine::run_impl(wl::ArrivalSource& source,
   const double seconds_per_tick =
       run_ticks > 0 ? m.sim_wall_seconds / static_cast<double>(run_ticks) : 0.0;
   m.scheduler_exec_seconds =
-      static_cast<double>(sched_ticks) * seconds_per_tick;
+      static_cast<double>(s.sched_ticks) * seconds_per_tick;
   if (prof.enabled()) profile_from_ticks(m.profile, prof, seconds_per_tick);
-  if (tel != nullptr) {
-    tel_sample(now);  // closing sample: the run's final (empty) census
-    tel->finish_run(m.profile.recorded ? &m.profile : nullptr);
+  if (s.tel != nullptr) {
+    s.tel_sample(s.now);  // closing sample: the run's final (empty) census
+    s.tel->finish_run(m.profile.recorded ? &m.profile : nullptr);
   }
-  const double ns_per_tick = seconds_per_tick * 1e9;
-  if (latency_sink_ != nullptr) {
-    for (std::size_t i = latency_base; i < latency_sink_->size(); ++i) {
-      (*latency_sink_)[i] *= ns_per_tick;
+  if (latency_hist_ != nullptr) {
+    latency_hist_->set_value_scale(seconds_per_tick * 1e9);
+  }
+  return std::move(s.m);
+}
+
+// ---- RunState: set-up ------------------------------------------------------
+
+Engine::RunState::RunState(Engine& engine, wl::ArrivalSource& src,
+                           const CheckpointPolicy* policy,
+                           const std::string& workload_label)
+    : eng(engine),
+      source(src),
+      ckpt(policy),
+      plan(engine.fault_plan()),
+      mig(engine.migration_plan()),
+      tel(engine.telemetry_),
+      migrating(!mig.empty()),
+      lifecycle(!plan.empty() || migrating),
+      track_power(engine.timeline_ != nullptr ||
+                  (tel != nullptr && tel->category(kTracePower))),
+      ledger(engine.scenario_.photonics, *engine.fabric_),
+      fault_rng(plan.seed) {
+  m.algorithm = std::string(eng.allocator_->name());
+  m.workload = workload_label;
+  // Phase attribution (sim/phase_profiler.hpp): cycle-clock spans around
+  // the loop's phases, exclusive under nesting.  Disabled, every hook is a
+  // single predictable branch.
+  prof.reset();
+  prof.enable(eng.profiling_);
+}
+
+void Engine::RunState::prepare() {
+  plan.validate();
+  mig.validate();
+  for (const FaultAction& a : plan.actions) {
+    if (a.box != FaultAction::kNoBox && a.box >= eng.cluster_->num_boxes()) {
+      throw std::invalid_argument("Engine: FaultAction box id out of range");
+    }
+    if (a.link != FaultAction::kNoLink && a.link >= eng.fabric_->num_links()) {
+      throw std::invalid_argument("Engine: FaultAction link id out of range");
     }
   }
-  if (latency_hist_ != nullptr) latency_hist_->set_value_scale(ns_per_tick);
-  return m;
+
+  // Per-VM records, keyed by workload index: created at admission (or
+  // first requeue), erased at the VM's final event, so the table tracks
+  // the live census + pending retries instead of the stream length.
+  eng.vms_.clear();
+  // Every pool slot starts free, lowest index on top of the stack, so a
+  // reused engine assigns the same slot sequence as a fresh one.
+  auto& free_slots = eng.free_slots_;
+  free_slots.resize(eng.slot_pool_.size());
+  for (std::size_t i = 0; i < free_slots.size(); ++i) {
+    free_slots[i] = static_cast<std::uint32_t>(free_slots.size() - 1 - i);
+  }
+
+  // Injected events restart their sequence numbering at the source's size
+  // hint so every equal-time tie against a pending arrival (seq = workload
+  // index < N) resolves in the arrival's favor -- the exact order the
+  // closure calendar produced.  A source that cannot know its length
+  // reports 0, which is equally sound: the merge comparison is structural
+  // (arrivals win ties), so a uniform shift of every injected seq preserves
+  // the heap's relative order (DESIGN.md §11).
+  eng.events_.reset(/*first_seq=*/source.size_hint());
+
+  // Pre-size the census-bounded containers from the source's size hint,
+  // capped by the cluster's own hosting bound (every VM holds >= 1 CPU
+  // unit) so a 10M-VM stream reserves for its possible live census, not
+  // its length -- and no rehash/regrow lands inside the measured loop.
+  if (const std::uint64_t hint = source.size_hint(); hint > 0) {
+    const auto cpu_units = static_cast<std::uint64_t>(
+        std::max<Units>(eng.cluster_->total_capacity(ResourceType::Cpu), 0));
+    const std::uint64_t census = std::min(
+        hint, std::min(std::max<std::uint64_t>(cpu_units, 1), kCensusReserveCap));
+    eng.vms_.reserve(static_cast<std::size_t>(census));
+    eng.events_.reserve(static_cast<std::size_t>(census));
+    eng.scan_scratch_.reserve(static_cast<std::size_t>(census));
+  }
+
+  // Compiled fault triggers.  Time-triggered actions enter the calendar up
+  // front (in plan order, so their seq assignment is deterministic);
+  // admission-triggered ones wait in a threshold-sorted queue and are
+  // injected at the admission that crosses their threshold.
+  if (lifecycle) {
+    eng.admission_actions_.clear();
+    for (std::uint32_t i = 0; i < plan.actions.size(); ++i) {
+      const FaultAction& a = plan.actions[i];
+      if (a.time_triggered()) {
+        eng.events_.push(a.at_time, LifecycleEvent{action_kind(a), i, 0});
+      } else {
+        eng.admission_actions_.push_back(i);
+      }
+    }
+    std::stable_sort(eng.admission_actions_.begin(),
+                     eng.admission_actions_.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return plan.actions[a].after_admissions <
+                              plan.actions[b].after_admissions;
+                     });
+  }
+
+  // Migration budget + the seed sweep event.  Pushed after the
+  // time-triggered fault actions so the injected seq assignment is
+  // deterministic: plan actions in plan order, then the first MIGRATE,
+  // then stream-order events (DESIGN.md §9 extends the §8 contract).
+  if (migrating) {
+    migration_budget = mig.total_budget;
+    eng.events_.push(mig.first_sweep_time(),
+                     LifecycleEvent{LifecycleKind::Migrate, 0, 0});
+  }
+  if (eng.arrival_ring_.size() < kArrivalChunk) {
+    eng.arrival_ring_.resize(kArrivalChunk);
+  }
+}
+
+// ---- RunState: shared steps ------------------------------------------------
+
+void Engine::RunState::sample_signals(SimTime t) {
+  for (ResourceType ty : kAllResources) {
+    util[ty].update(t, eng.cluster_->utilization(ty));
+  }
+  intra_util.update(t, eng.fabric_->intra_utilization());
+  inter_util.update(t, eng.fabric_->inter_utilization());
+}
+
+void Engine::RunState::record_timeline(SimTime t) {
+  if (eng.timeline_ == nullptr) return;
+  TimelinePoint p;
+  p.time = t;
+  p.active_vms = live_count;
+  p.placed_total = m.placed;
+  p.dropped_total = m.dropped;
+  p.killed_total = m.killed;
+  p.migrated_total = m.migrated;
+  p.offline_boxes = eng.cluster_->offline_box_count();
+  p.failed_links = eng.fabric_->failed_link_count();
+  for (ResourceType ty : kAllResources) {
+    p.utilization[ty] = eng.cluster_->utilization(ty);
+  }
+  p.intra_net_utilization = eng.fabric_->intra_utilization();
+  p.inter_net_utilization = eng.fabric_->inter_utilization();
+  p.optical_power_w = holding_power_w;
+  eng.timeline_->record(p);
+}
+
+// One telemetry counter-track sample at sim time `t` (only called with
+// tel != nullptr; the cadence gate is the caller's sample_due check).
+void Engine::RunState::tel_sample(SimTime t) {
+  Telemetry::CounterSample cs;
+  cs.live_vms = live_count;
+  cs.offline_boxes = eng.cluster_->offline_box_count();
+  cs.failed_links = eng.fabric_->failed_link_count();
+  cs.arrival_ring_depth = ring_len - ring_pos;
+  cs.calendar_events = eng.events_.size();
+  cs.holding_power_w = holding_power_w;
+  tel->sample(t, cs);
+}
+
+// Degraded-operation integral: simulated time spent with >= 1 box offline
+// or link failed, accumulated per inter-event gap (state is piecewise
+// constant between events, exactly like the utilization signals).
+void Engine::RunState::note_time(SimTime t) {
+  if (eng.cluster_->offline_box_count() > 0 ||
+      eng.fabric_->failed_link_count() > 0) {
+    m.degraded_tu += t - last_event_t;
+  }
+  last_event_t = t;
+}
+
+void Engine::RunState::count_drop() {
+  if (drop_counts[static_cast<std::size_t>(drop_reason)]++ == 0) {
+    drop_first_seen[drop_kinds++] = drop_reason;
+  }
+}
+
+std::uint32_t Engine::RunState::acquire_slot() {
+  if (eng.free_slots_.empty()) {
+    eng.slot_pool_.emplace_back();
+    return static_cast<std::uint32_t>(eng.slot_pool_.size() - 1);
+  }
+  const std::uint32_t slot = eng.free_slots_.back();
+  eng.free_slots_.pop_back();
+  return slot;
+}
+
+// Arrival intake: chunked pulls from the source into a fixed ring,
+// validated against the (arrival, index) ordering contract as they stream
+// in.  Leaves an empty ring only when the source is exhausted.
+void Engine::RunState::refill_ring() {
+  const ScopedCycleSpan<PhaseTimer> span(prof, phase_slot(Phase::SourcePull));
+  auto& ring = eng.arrival_ring_;
+  ring_len = source.next_batch(
+      std::span<wl::ArrivalItem>(ring.data(), kArrivalChunk));
+  ring_pos = 0;
+  if (ring_len == 0) {
+    source_done = true;
+    return;
+  }
+  for (std::size_t i = 0; i < ring_len; ++i) {
+    const wl::ArrivalItem& it = ring[i];
+    if (it.vm.lifetime < 0) {
+      throw std::invalid_argument("Engine: negative lifetime in workload");
+    }
+    if (seen_arrival &&
+        (it.vm.arrival < last_arrival ||
+         (it.vm.arrival == last_arrival && it.index <= last_arrival_index))) {
+      throw std::invalid_argument(
+          "Engine: arrival source violates (arrival, index) ordering");
+    }
+    last_arrival = it.vm.arrival;
+    last_arrival_index = it.index;
+    seen_arrival = true;
+  }
+}
+
+void Engine::RunState::maybe_checkpoint() {
+  if (ckpt == nullptr || ckpt->every_events == 0 || !ckpt->emit) return;
+  if (executed - last_ckpt_executed < ckpt->every_events) return;
+  last_ckpt_executed = executed;
+  const ScopedCycleSpan<PhaseTimer> span(prof, phase_slot(Phase::Checkpoint));
+  std::ostringstream os(std::ios::out | std::ios::binary);
+  save(os);
+  ckpt->emit(os.str());
+}
+
+// One placement attempt (arrival or retry) for `vm_index`, holding for
+// `expected` time units when it sticks.  On success all metrics/state
+// updates happen here -- in the exact order of the historical arrival path,
+// which keeps the empty-plan run bit-identical.  On failure the reason
+// lands in `drop_reason` and the caller applies its retry/drop policy.
+//
+// `vm` is passed in (not read from the record) because arrivals have no
+// record yet; record references stay valid across the whole call either way
+// -- the SlotArena hands out slab-stable references, so even the success
+// path's insert cannot move a resident record.
+//
+// The caller holds the Admission profiler span open: one span per admission
+// window (or per retry attempt), not one per VM (DESIGN.md §13).
+//
+// `defer_push` (plan-free windows only): the departure is staged in
+// arrival_push_scratch_ and the caller bulk-flushes at window close --
+// seq-identical because no other push interleaves.  `defer_sample`
+// (windows without a timeline): the signal sample is the caller's job, so
+// equal-time admission runs sample once.
+bool Engine::RunState::admit(std::uint32_t vm_index, const wl::VmRequest& vm,
+                             double expected, bool defer_push,
+                             bool defer_sample) {
+  // Placement attribution is free: the run times every try_place for
+  // scheduler_exec_seconds anyway, so the same two reads are carved out of
+  // the admission span instead of paying two more.
+  const std::uint64_t t0 = CycleClock::now();
+  auto placed = eng.allocator_->try_place(vm);
+  const std::uint64_t t1 = CycleClock::now();
+  prof.carve(phase_slot(Phase::Placement), t1 - t0);
+  sched_ticks += t1 - t0;
+  if (eng.latency_hist_ != nullptr) {
+    eng.latency_hist_->add(static_cast<double>(t1 - t0));
+  }
+
+  if (!placed.ok()) {
+    drop_reason = placed.error();
+    return false;
+  }
+  const std::uint32_t slot = acquire_slot();
+  core::Placement& p = eng.slot_pool_[slot];
+  p = std::move(placed.value());
+  VmState& st = eng.vms_.find_or_insert(vm_index);
+  st.vm = vm;
+  st.slot = slot;
+  st.live = 1;
+  ++live_count;
+  ++admissions;
+  if (!lifecycle) {
+    ++m.placed;
+  } else if (!st.ever_placed) {
+    ++m.placed;
+    st.ever_placed = 1;
+  }
+  if (p.inter_rack) ++m.any_pair_inter_rack;
+  if (p.used_fallback) ++m.fallback_placements;
+
+  // Figures 5/7/10 count a VM as inter-rack when its CPU and RAM racks
+  // differ; the same flag drives the RTT sample (pod-aware in the
+  // three-tier extension).  Counted per placement event, so a requeued VM's
+  // re-placement samples again (diagnostic semantics under faults;
+  // identical to the historical per-VM count when the plan is empty).
+  const bool cpu_ram_inter =
+      p.rack(ResourceType::Cpu) != p.rack(ResourceType::Ram);
+  if (cpu_ram_inter) ++m.inter_rack_placements;
+  const bool cross_pod =
+      cpu_ram_inter && !eng.fabric_->same_pod(p.rack(ResourceType::Cpu),
+                                              p.rack(ResourceType::Ram));
+  m.cpu_ram_latency_ns.add(eng.scenario_.latency.rtt_ns(cpu_ram_inter, cross_pod));
+
+  // Open the photonic charging interval at its expected length (Eq. (1)
+  // prepay; a later kill settles the difference -- DESIGN.md §8).  No ledger
+  // span here: a TSC pair would cost as much as the handful of adds it
+  // measures, so the per-arrival charge rides in `admission`.
+  ledger.charge_vm(*eng.circuits_, vm.id, expected);
+
+  if (track_power) {
+    double vm_power = 0.0;
+    eng.circuits_->for_each_circuit_of(vm.id, [&](const net::Circuit& c) {
+      vm_power +=
+          phot::circuit_holding_power_w(eng.scenario_.photonics, *eng.fabric_, c);
+    });
+    holding_power_w += vm_power;
+    st.holding_power = vm_power;
+  }
+
+  if (!defer_sample) {
+    sample_signals(now);
+    record_timeline(now);
+  }
+  std::uint32_t epoch = 0;
+  if (lifecycle) {
+    st.place_time = now;
+    st.expected_hold = expected;
+    epoch = ++st.epoch;
+  }
+  // The push is the ladder's O(1) append path (DESIGN.md §12) -- cheaper
+  // than a TSC pair, so it rides in `admission` too.
+  const LifecycleEvent departure{LifecycleKind::Departure, vm_index, epoch};
+  if (defer_push) {
+    eng.arrival_push_scratch_.emplace_back(now + expected, departure);
+  } else {
+    eng.events_.push(now + expected, departure);
+  }
+  return true;
+}
+
+// Inject admission-triggered fault actions whose threshold the latest
+// successful placement crossed.  They enter the merged stream at `now`
+// (seq > N), so they fire after the admission that tripped them and before
+// any later-time event -- deterministically.
+void Engine::RunState::fire_admission_triggers() {
+  while (next_admission_action < eng.admission_actions_.size()) {
+    const std::uint32_t ai = eng.admission_actions_[next_admission_action];
+    const FaultAction& a = plan.actions[ai];
+    if (a.after_admissions > static_cast<std::int64_t>(admissions)) break;
+    ++next_admission_action;
+    eng.events_.push(now, LifecycleEvent{action_kind(a), ai, 0});
+  }
+}
+
+// Requeue `vm_index` when the retry budget allows; returns whether a RETRY
+// event was scheduled.
+bool Engine::RunState::requeue(std::uint32_t vm_index, VmState& st) {
+  if (plan.retry.max_attempts == 0 || st.attempts >= plan.retry.max_attempts) {
+    return false;
+  }
+  ++st.attempts;
+  ++m.requeued;
+  ++pending_retries;
+  if (tel != nullptr) tel->requeue(now);
+  eng.events_.push(now + plan.retry.delay_tu,
+                   LifecycleEvent{LifecycleKind::Retry, vm_index, 0});
+  return true;
+}
+
+// Kill a resident VM at `now`: settle its charging interval, tear down
+// circuits + compute, and requeue the remaining hold when policy allows.
+// When no retry follows, this is the VM's final event and its record is
+// erased (a stale Departure then tombstones on the missing record).  The
+// caller's `st` reference is dead after this returns.  Runs inside the
+// caller's open release batch, so compute frees defer their aggregate
+// refresh to the shared end_release_batch.
+void Engine::RunState::kill_vm(std::uint32_t vm_index, VmState& st) {
+  const double held = now - st.place_time;
+  const double unused = st.expected_hold - held;
+  prof.begin(phase_slot(Phase::Ledger));
+  ledger.refund_vm_truncation(*eng.circuits_, st.vm.id, unused);
+  prof.end();
+  eng.allocator_->release_batched(eng.slot_pool_[st.slot]);
+  eng.free_slots_.push_back(st.slot);
+  st.live = 0;
+  --live_count;
+  ++m.killed;
+  if (tel != nullptr) tel->kill(now, kill_cause);
+  if (track_power) {
+    holding_power_w -= st.holding_power;
+    st.holding_power = 0.0;
+  }
+  bool retained = false;
+  if (unused > 0.0) {
+    st.expected_hold = unused;  // the re-placement's hold
+    retained = requeue(vm_index, st);
+  }
+  if (!retained) eng.vms_.erase(vm_index);
+}
+
+// Deterministic victim scan: the record arena iterates in slot order
+// (reuse-dependent), so live VM indices are collected and sorted ascending
+// before any kill fires -- kills (and their requeues) then happen in the
+// historical dense-scan order.  kill_vm only mutates (or erases) the
+// victim's own record, so collect-then-kill equals an interleaved scan.
+void Engine::RunState::collect_live_sorted() {
+  auto& scan = eng.scan_scratch_;
+  scan.clear();
+  eng.vms_.for_each([&](std::uint32_t idx, const VmState& st) {
+    if (st.live) scan.push_back(idx);
+  });
+  std::sort(scan.begin(), scan.end());
+}
+
+// Execute one scripted fail/repair action.  Random victims are drawn here,
+// in merged-stream order, from the plan's own RNG stream.  Transitions are
+// idempotent (re-failing an offline victim is a no-op), so duplicate random
+// draws are harmless.  Every teardown scan is one settlement window:
+// compute frees batch their per-(rack, type) aggregate refresh behind
+// end_release_batch (no placement query can interleave with the scan).
+void Engine::RunState::execute_action(std::uint32_t action_index, bool fail) {
+  const FaultAction& a = plan.actions[action_index];
+  topo::Cluster& cluster = *eng.cluster_;
+  net::Fabric& fabric = *eng.fabric_;
+  if (a.targets_links()) {
+    kill_cause = LifecycleKind::LinkFail;
+    const std::uint32_t draws =
+        a.link != FaultAction::kNoLink ? 1 : a.random_links;
+    for (std::uint32_t k = 0; k < draws; ++k) {
+      const LinkId victim =
+          a.link != FaultAction::kNoLink
+              ? LinkId{a.link}
+              : LinkId{static_cast<std::uint32_t>(fault_rng.uniform_int(
+                    0, static_cast<std::int64_t>(fabric.num_links()) - 1))};
+      if (fabric.link(victim).failed() == fail) continue;
+      fabric.set_link_failed(victim, fail);
+      if (!fail) continue;
+      // Dead-link teardown: every live VM holding a circuit that traverses
+      // the failed link dies (in VM-index order).
+      collect_live_sorted();
+      cluster.begin_release_batch();
+      for (const std::uint32_t i : eng.scan_scratch_) {
+        VmState* st = eng.vms_.find(i);
+        if (st == nullptr || !st->live) continue;
+        bool hit = false;
+        eng.circuits_->for_each_circuit_of(
+            st->vm.id, [&](const net::Circuit& c) {
+              for (const LinkId lid : c.path.links) {
+                if (lid == victim) {
+                  hit = true;
+                  break;
+                }
+              }
+            });
+        if (hit) kill_vm(i, *st);
+      }
+      cluster.end_release_batch();
+    }
+  } else {
+    kill_cause = LifecycleKind::BoxFail;
+    const std::uint32_t draws =
+        a.box != FaultAction::kNoBox ? 1 : a.random_boxes;
+    for (std::uint32_t k = 0; k < draws; ++k) {
+      const BoxId victim =
+          a.box != FaultAction::kNoBox
+              ? BoxId{a.box}
+              : BoxId{static_cast<std::uint32_t>(fault_rng.uniform_int(
+                    0, static_cast<std::int64_t>(cluster.num_boxes()) - 1))};
+      if (cluster.box_unchecked(victim).offline() == fail) continue;
+      cluster.set_box_offline(victim, fail);
+      if (!fail) continue;
+      // Offline-box teardown: every resident VM dies with its circuits.
+      collect_live_sorted();
+      cluster.begin_release_batch();
+      for (const std::uint32_t i : eng.scan_scratch_) {
+        VmState* st = eng.vms_.find(i);
+        if (st == nullptr || !st->live) continue;
+        const core::Placement& p = eng.slot_pool_[st->slot];
+        for (ResourceType t : kAllResources) {
+          if (p.box(t) == victim) {
+            kill_vm(i, *st);
+            break;
+          }
+        }
+      }
+      cluster.end_release_batch();
+    }
+  }
+  sample_signals(now);
+  record_timeline(now);
+}
+
+// One live-migration attempt at `now` (DESIGN.md §9).  Make-before-break:
+// the new placement is established through the normal allocator path while
+// the old one still holds its resources (the old boxes are temporarily
+// taken offline so the search cannot pick them -- restored before any
+// signal is sampled), then the old circuits and compute are retired
+// atomically.  The PowerLedger settles with a prepay-and-settle split: the
+// old circuits are charged through now + cost (the double-charge window
+// while state drains), the new ones prepay the remaining hold.  Returns
+// whether the migration committed.  Nothing here inserts into or erases
+// from the record table, so `st` stays valid throughout.
+bool Engine::RunState::try_migrate(std::uint32_t vm_index) {
+  topo::Cluster& cluster = *eng.cluster_;
+  net::CircuitTable& circuits = *eng.circuits_;
+  VmState& st = *eng.vms_.find(vm_index);
+  const wl::VmRequest& vm = st.vm;
+  core::Placement& old_p = eng.slot_pool_[st.slot];
+  const int old_score = migration_spread_score(old_p, *eng.fabric_);
+  const double remaining = st.place_time + st.expected_hold - now;
+  // remaining > cost is guaranteed by the sweep's candidate filter (same
+  // instant, same inputs); both are still needed for settlement.
+  const double cost = migration_cost_tu(
+      mig, vm.ram_mb, old_p.demand.cpu_ram,
+      eng.scenario_.photonics.switch_energy.seconds_per_time_unit);
+  const auto k_old = static_cast<std::uint32_t>(circuits.circuit_count_of(vm.id));
+
+  // Exclude the current boxes from the search (they are distinct: one box
+  // per resource type), remembering exactly what we toggled.
+  std::array<BoxId, kNumResourceTypes> toggled;
+  std::size_t n_toggled = 0;
+  for (ResourceType t : kAllResources) {
+    const BoxId b = old_p.box(t);
+    if (!cluster.box_unchecked(b).offline()) {
+      cluster.set_box_offline(b, true);
+      toggled[n_toggled++] = b;
+    }
+  }
+  // Not counted into scheduler_exec_seconds or the latency histogram:
+  // Figures 11/12 measure admission scheduling only.
+  auto placed = eng.allocator_->try_place(vm);
+  for (std::size_t k = 0; k < n_toggled; ++k) {
+    cluster.set_box_offline(toggled[k], false);
+  }
+  if (!placed.ok()) return false;  // nowhere better; placement untouched
+
+  core::Placement new_p = std::move(placed.value());
+  if (mig.only_if_improves &&
+      migration_spread_score(new_p, *eng.fabric_) >= old_score) {
+    // No improvement: roll the fresh placement back untouched.  Its
+    // circuits are exactly the suffix after the old placement's.  The three
+    // compute frees settle as one window (no query interleaves).
+    circuits.teardown_suffix(vm.id, k_old);
+    cluster.begin_release_batch();
+    for (ResourceType t : kAllResources) {
+      cluster.release_batched(new_p.compute[index(t)]);
+    }
+    cluster.end_release_batch();
+    return false;
+  }
+
+  // Settle the ledger at the migration instant: the old circuits (the
+  // prefix, in establishment order) refund their tail beyond the cost
+  // window; the new ones open an interval for the remaining hold.
+  std::size_t pos = 0;
+  prof.begin(phase_slot(Phase::Ledger));
+  circuits.for_each_circuit_of(vm.id, [&](const net::Circuit& c) {
+    if (pos < k_old) {
+      ledger.refund_circuit_truncation(c, remaining - cost);
+    } else {
+      ledger.charge_circuit(c, remaining);
+    }
+    ++pos;
+  });
+  prof.end();
+
+  // Retire the old placement: circuits, then compute -- the compute frees
+  // batched as one settlement window.
+  circuits.teardown_prefix(vm.id, k_old);
+  const bool was_inter =
+      old_p.rack(ResourceType::Cpu) != old_p.rack(ResourceType::Ram);
+  cluster.begin_release_batch();
+  for (ResourceType t : kAllResources) {
+    cluster.release_batched(old_p.compute[index(t)]);
+  }
+  cluster.end_release_batch();
+
+  const bool now_inter =
+      new_p.rack(ResourceType::Cpu) != new_p.rack(ResourceType::Ram);
+  old_p = std::move(new_p);  // the VM's pool slot is reused in place
+  st.place_time = now;
+  st.expected_hold = remaining;
+  const std::uint32_t epoch = ++st.epoch;
+  eng.events_.push(now + remaining,
+                   LifecycleEvent{LifecycleKind::Departure, vm_index, epoch});
+
+  ++m.migrated;
+  m.migration_tu += cost;
+  if (was_inter && !now_inter) ++m.interrack_vms_recovered;
+
+  if (track_power) {
+    double vm_power = 0.0;
+    circuits.for_each_circuit_of(vm.id, [&](const net::Circuit& c) {
+      vm_power +=
+          phot::circuit_holding_power_w(eng.scenario_.photonics, *eng.fabric_, c);
+    });
+    holding_power_w += vm_power - st.holding_power;
+    st.holding_power = vm_power;
+  }
+  sample_signals(now);
+  record_timeline(now);
+  return true;
+}
+
+// One defragmentation sweep at `now`: gather the spread live VMs whose
+// remaining hold outlasts their migration cost, rank them worst-first, and
+// attempt up to the per-sweep budget.  Slot-order iteration is safe here:
+// the live/spread counters are order-independent sums, candidate keys are
+// unique (the packed key embeds the VM index), and rank_worst_spread
+// totally orders them.
+void Engine::RunState::run_migration_sweep() {
+  if (mig.skip_while_degraded && (eng.cluster_->offline_box_count() > 0 ||
+                                  eng.fabric_->failed_link_count() > 0)) {
+    return;
+  }
+  auto& keys = eng.mig_keys_;
+  keys.clear();
+  std::size_t live = 0, spread = 0;
+  eng.vms_.for_each([&](std::uint32_t i, const VmState& st) {
+    if (!st.live) return;
+    ++live;
+    const core::Placement& p = eng.slot_pool_[st.slot];
+    const int score = migration_spread_score(p, *eng.fabric_);
+    if (score <= 0) return;
+    ++spread;  // counts toward the fraction trigger even when doomed
+    // Filter doomed candidates here, not in try_migrate: a near-departure
+    // VM ranked first would otherwise burn a per-sweep attempt slot that a
+    // long-lived straggler could have used.
+    const double remaining = st.place_time + st.expected_hold - now;
+    const double cost = migration_cost_tu(
+        mig, st.vm.ram_mb, p.demand.cpu_ram,
+        eng.scenario_.photonics.switch_energy.seconds_per_time_unit);
+    if (remaining <= cost) return;
+    keys.push_back(pack_candidate(score, i));
+  });
+  if (keys.empty() || live == 0) return;
+  if (static_cast<double>(spread) <
+      mig.min_interrack_fraction * static_cast<double>(live)) {
+    return;
+  }
+  const std::size_t budget = std::min<std::size_t>(
+      keys.size(), std::min<std::size_t>(mig.per_sweep_budget, migration_budget));
+  rank_worst_spread(keys, budget);
+  for (std::size_t k = 0; k < budget; ++k) {
+    if (try_migrate(candidate_index(keys[k]))) --migration_budget;
+  }
+}
+
+// ---- RunState: event handlers ----------------------------------------------
+
+// Admission window (DESIGN.md §13).  The maximal run of ring arrivals that
+// sorts before the calendar head is admitted under one bracket: one
+// Admission span, batched executed/total_vms counters, and the per-event
+// branches hoisted to per-window checks.  `limit` makes the inner loop
+// exact: it starts at the calendar head and is lowered by every push the
+// window performs (a deferred departure at now+expected directly; any
+// lifecycle push -- retry, trigger, departure -- by re-reading
+// next_time()), so "arrival <= limit" is precisely the merge comparison the
+// per-event loop would have made, ties included.  No injected event can
+// execute inside a window, which licenses the hoists below:
+//   - degraded: fault state only changes via events, so the note_time()
+//     branch is per-window; when healthy, degraded_tu accumulates nothing
+//     and last_event_t advances once at close.  When degraded, per-event
+//     note_time keeps the FP-exact per-gap sum.
+//   - defer_sample (no timeline attached): only admissions move
+//     utilization inside a window and equal-time TWM samples add zero area,
+//     so an equal-time admission run samples once, at its last success --
+//     value, area and peak exact because utilization only rises across the
+//     run.  Samples at distinct times still happen per event.
+//   - defer_push (plan-free runs): departure pushes stage in
+//     arrival_push_scratch_ and bulk-flush at window close with identical
+//     seq assignment, since no retry/trigger push can interleave.
+void Engine::RunState::on_admission_window(SimTime limit) {
+  const auto& ring = eng.arrival_ring_;
+  const bool batching = eng.admission_batching_;
+  const bool defer_push = batching && !lifecycle;
+  const bool defer_sample = batching && eng.timeline_ == nullptr;
+  const bool degraded =
+      lifecycle && (eng.cluster_->offline_box_count() > 0 ||
+                    eng.fabric_->failed_link_count() > 0);
+  bool sample_pending = false;
+  SimTime sample_t = 0.0;
+  std::uint64_t window_events = 0;
+  const SimTime window_t0 = tel != nullptr ? ring[ring_pos].vm.arrival : 0.0;
+  const std::uint64_t placed_before = tel != nullptr ? m.placed : 0;
+  if (defer_push) eng.arrival_push_scratch_.clear();
+  prof.begin(phase_slot(Phase::Admission));
+  do {
+    const wl::ArrivalItem& item = ring[ring_pos++];
+    const std::uint32_t vm_index = item.index;
+    now = item.vm.arrival;
+    if (degraded) note_time(now);
+    ++window_events;
+    if (sample_pending && now != sample_t) {
+      // Time advanced past a deferred equal-time sample: utilization has
+      // not moved since (only drops in between), so sampling the current
+      // state at sample_t is exact.
+      sample_signals(sample_t);
+      sample_pending = false;
+    }
+    if (admit(vm_index, item.vm, item.vm.lifetime, defer_push, defer_sample)) {
+      if (defer_sample) {
+        sample_pending = true;
+        sample_t = now;
+      }
+      if (defer_push) {
+        limit = std::min(limit, eng.arrival_push_scratch_.back().first);
+      }
+      if (lifecycle) fire_admission_triggers();
+    } else {
+      bool queued = false;
+      if (lifecycle && plan.retry.max_attempts > 0) {
+        // First requeue of a never-admitted VM creates its record (the
+        // retry path needs the request after the ring moves on).
+        VmState& st = eng.vms_.find_or_insert(vm_index);
+        st.vm = item.vm;
+        queued = requeue(vm_index, st);
+        if (!queued) eng.vms_.erase(vm_index);
+      }
+      if (!queued) {
+        ++m.dropped;
+        count_drop();
+        if (tel != nullptr) tel->drop(now, drop_reason);
+      }
+    }
+    if (lifecycle) {
+      // Lifecycle pushes (retries, triggers, epoch-stamped departures)
+      // interleave with the window, so the head is re-read rather than
+      // tracked incrementally.
+      limit = eng.events_.empty() ? kNeverTime : eng.events_.next_time();
+    }
+    if (!batching) break;  // per-event reference mode
+  } while (ring_pos < ring_len && ring[ring_pos].vm.arrival <= limit);
+  if (sample_pending) sample_signals(sample_t);
+  if (defer_push && !eng.arrival_push_scratch_.empty()) {
+    eng.events_.push_bulk(eng.arrival_push_scratch_);
+  }
+  executed += window_events;
+  m.total_vms += window_events;
+  if (lifecycle && !degraded) last_event_t = now;
+  prof.end();
+  if (tel != nullptr) {
+    tel->admission_window(window_t0, now, window_events,
+                          m.placed - placed_before);
+    if (tel->sample_due(now)) tel_sample(now);
+  }
+}
+
+// Settlement window (DESIGN.md §12): the whole same-timestamp departure run
+// is drained out of the calendar into a scratch batch first (ties are
+// contiguous at the ladder's sorted bottom tier), then settled under one
+// begin/end_release_batch bracket: the per-rack aggregate/index refresh is
+// deferred and deduplicated across the run, box ledgers / cluster totals /
+// circuits settle per event, and the time-weighted signals are sampled once
+// per window -- bit-identical to per-event sampling, because equal-time
+// samples add zero area and releases only lower utilization, so they can
+// never set a peak (timeline runs keep per-event samples: the exported
+// series is observable output).  No placement can interleave: equal-time
+// arrivals were all consumed before this event (arrivals win every (time,
+// seq) tie), and any other injected kind ends the window.  One span covers
+// drain + settle; the drained pops are cursor bumps off the surfaced bottom.
+void Engine::RunState::on_departure_window(const Entry& e) {
+  auto& events = eng.events_;
+  auto& batch = eng.batch_scratch_;
+  // A departure whose record is gone, no longer live, or of an older epoch
+  // is a tombstone: that placement was killed (only possible with a plan).
+  auto stale = [&](const Entry& d, const VmState* st) {
+    if (st != nullptr && st->live &&
+        (!lifecycle || d.payload.epoch == st->epoch)) {
+      return false;
+    }
+    if (!lifecycle) {
+      throw std::logic_error("Engine: departure for unknown placement");
+    }
+    return true;
+  };
+  if (stale(e, eng.vms_.find(e.payload.subject))) return;
+  now = e.time;
+  if (lifecycle) note_time(now);
+  prof.begin(phase_slot(Phase::Settlement));
+  batch.clear();
+  batch.push_back(e);
+  while (!events.empty() && events.next_time() == now &&
+         events.top().payload.kind == LifecycleKind::Departure) {
+    batch.push_back(events.pop());
+  }
+  eng.cluster_->begin_release_batch();
+  for (const Entry& d : batch) {
+    const std::uint32_t vm_index = d.payload.subject;
+    VmState* st = eng.vms_.find(vm_index);
+    if (stale(d, st)) continue;
+    ++executed;
+    eng.allocator_->release_batched(eng.slot_pool_[st->slot]);
+    eng.free_slots_.push_back(st->slot);
+    --live_count;
+    if (track_power) holding_power_w -= st->holding_power;
+    if (eng.timeline_ != nullptr) {
+      sample_signals(now);
+      record_timeline(now);
+    }
+    // The departure is the VM's final event: erase its record (the slot is
+    // recycled, so `st` dies here).
+    eng.vms_.erase(vm_index);
+  }
+  eng.cluster_->end_release_batch();
+  if (eng.timeline_ == nullptr) sample_signals(now);
+  prof.end();
+  if (tel != nullptr) {
+    tel->settlement_window(now, batch.size());
+    if (tel->sample_due(now)) tel_sample(now);
+  }
+}
+
+void Engine::RunState::on_fault(const Entry& e) {
+  now = e.time;
+  note_time(now);
+  ++executed;
+  {
+    const ScopedCycleSpan<PhaseTimer> span(prof, phase_slot(Phase::Settlement));
+    execute_action(e.payload.subject,
+                   e.payload.kind == LifecycleKind::BoxFail ||
+                       e.payload.kind == LifecycleKind::LinkFail);
+  }
+  if (tel != nullptr) {
+    tel->fault(now, e.payload.kind);
+    if (tel->sample_due(now)) tel_sample(now);
+  }
+}
+
+void Engine::RunState::on_migrate(const Entry& e) {
+  // A sweep landing after the run's real work (no pending arrivals, nothing
+  // live, no retries in flight) is skipped like a tombstone: it neither
+  // advances the horizon nor reschedules, so periodic plans terminate.
+  // `ring_pos >= ring_len` here implies the source is exhausted.
+  if (ring_pos >= ring_len && live_count == 0 && pending_retries == 0) return;
+  now = e.time;
+  note_time(now);
+  ++executed;
+  const std::uint64_t migrated_before = tel != nullptr ? m.migrated : 0;
+  {
+    const ScopedCycleSpan<PhaseTimer> span(prof, phase_slot(Phase::Settlement));
+    run_migration_sweep();
+  }
+  if (tel != nullptr) {
+    tel->migration_sweep(now, m.migrated - migrated_before);
+    if (tel->sample_due(now)) tel_sample(now);
+  }
+  // A sweep neither kills nor requeues, so the work checked above is still
+  // pending: only the budget decides whether the schedule continues.
+  if (migration_budget > 0) {
+    eng.events_.push(now + mig.period_tu,
+                     LifecycleEvent{LifecycleKind::Migrate,
+                                    e.payload.subject + 1, 0});
+  }
+}
+
+void Engine::RunState::on_retry(const Entry& e) {
+  const std::uint32_t vm_index = e.payload.subject;
+  --pending_retries;
+  now = e.time;
+  note_time(now);
+  ++executed;
+  VmState* st = eng.vms_.find(vm_index);
+  if (st == nullptr) throw std::logic_error("Engine: retry for unknown VM");
+  // `st` stays valid through the attempt either way: arena records are
+  // slab-stable, so a successful admit's re-insert of the same key cannot
+  // move it (DESIGN.md §13).
+  const bool was_placed = st->ever_placed != 0;
+  const double expected = was_placed ? st->expected_hold : st->vm.lifetime;
+  prof.begin(phase_slot(Phase::Admission));
+  const bool readmitted = admit(vm_index, st->vm, expected,
+                                /*defer_push=*/false, /*defer_sample=*/false);
+  prof.end();
+  if (readmitted) {
+    ++m.retry_placed;
+    fire_admission_triggers();
+  } else if (!requeue(vm_index, *st)) {
+    // Retry budget exhausted: the VM's final event, so the record goes.  A
+    // VM that never ran is a final drop (killed VMs already count in
+    // `placed`; their lost remainder shows through `killed` and energy).
+    if (!was_placed) {
+      ++m.dropped;
+      count_drop();
+      if (tel != nullptr) tel->drop(now, drop_reason);
+    }
+    eng.vms_.erase(vm_index);
+  }
+  if (tel != nullptr) tel->retry(now, readmitted);
 }
 
 std::vector<SimMetrics> run_all_algorithms(const Scenario& scenario,

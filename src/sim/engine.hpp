@@ -76,8 +76,8 @@ class Telemetry;  // sim/telemetry.hpp (DESIGN.md §14)
 /// the loop's safe point (DESIGN.md §11) -- and hands the bytes to `emit`.
 /// A run resumed from any emitted checkpoint (Engine::resume_stream)
 /// continues bit-identically.  Wall-clock metrics (sim_wall_seconds,
-/// scheduler_exec_seconds) and the optional latency sinks restart at the
-/// resume point; every deterministic metric continues exactly.
+/// scheduler_exec_seconds) and the optional latency histogram restart at
+/// the resume point; every deterministic metric continues exactly.
 struct CheckpointPolicy {
   /// Checkpoint cadence in executed events; 0 disables checkpointing.
   std::uint64_t every_events = 0;
@@ -168,23 +168,16 @@ class Engine {
   /// so Figures 11/12 are unaffected.
   void set_timeline(Timeline* timeline) noexcept { timeline_ = timeline; }
 
-  /// Optional per-placement latency recording: when set, every
-  /// Allocator::try_place appends its wall-clock duration in nanoseconds
-  /// (success or drop, arrivals and retries alike).  The vector must
-  /// outlive run(); pass nullptr to disable.  Samples are taken outside
-  /// the timed section, so scheduler_exec_seconds is unaffected.
-  void set_placement_latency_sink(std::vector<double>* sink) noexcept {
-    latency_sink_ = sink;
-  }
-
-  /// Bounded-memory alternative to the vector sink for streaming-scale
-  /// runs: per-placement latencies land in a log-scale histogram instead
-  /// of one double per placement.  Samples are added as raw ticks; at the
-  /// end of the run the engine installs the ticks-to-nanoseconds scale via
+  /// Optional per-placement latency recording: every admission
+  /// Allocator::try_place (arrivals and retries alike, success or drop;
+  /// migration attempts are not counted) adds its wall-clock duration to
+  /// a log-scale histogram, so memory stays bounded at any run length.
+  /// Samples are added as raw ticks; at the end of the run the engine
+  /// installs the ticks-to-nanoseconds scale via
   /// Log2Histogram::set_value_scale, so percentiles read out in ns.  The
   /// histogram must outlive the run and is NOT cleared between runs (nor
   /// serialized into checkpoints -- latency is wall-clock state); pass
-  /// nullptr to disable.  Both sinks may be active at once.
+  /// nullptr to disable.
   void set_latency_histogram(Log2Histogram* sink) noexcept {
     latency_hist_ = sink;
   }
@@ -228,12 +221,16 @@ class Engine {
   [[nodiscard]] core::Allocator& allocator() noexcept { return *allocator_; }
 
  private:
+  /// One run's mutable state and its event handlers (sim/run_state.hpp).
+  struct RunState;
+
   [[nodiscard]] core::AllocContext context() noexcept;
 
-  /// The shared merged event loop behind run/run_stream/resume_stream.
-  /// When `resume` is non-null, the serialized state it holds replaces the
-  /// fresh-run initialization (including `workload_label`, which the
-  /// checkpoint carries).
+  /// The shared merged event loop behind run/run_stream/resume_stream:
+  /// set-up, the (time, seq) merge dispatch over RunState's handlers, and
+  /// the end-of-run settlement.  When `resume` is non-null, the serialized
+  /// state it holds replaces the fresh-run initialization (including
+  /// `workload_label`, which the checkpoint carries).
   [[nodiscard]] SimMetrics run_impl(wl::ArrivalSource& source,
                                     const std::string& workload_label,
                                     const CheckpointPolicy* ckpt,
@@ -248,7 +245,6 @@ class Engine {
   std::unique_ptr<core::Allocator> allocator_;
   Timeline* timeline_ = nullptr;
   Telemetry* telemetry_ = nullptr;  ///< run telemetry hub (DESIGN.md §14)
-  std::vector<double>* latency_sink_ = nullptr;
   Log2Histogram* latency_hist_ = nullptr;
   bool profiling_ = false;  ///< fill SimMetrics::profile on each run
   bool admission_batching_ = true;  ///< admission windows (DESIGN.md §13)
@@ -261,27 +257,18 @@ class Engine {
   /// bounded by live VMs + pending injections, not the event count; seq
   /// numbering starts at the source's size hint each run (arrivals own
   /// seq 0..N-1; an unknown hint of 0 is behaviorally identical because
-  /// arrivals win every merge tie structurally -- DESIGN.md §11).
-  /// A ladder queue since PR 8: O(1) amortized push/pop with the exact
-  /// (time, seq) pop order of the reference BasicCalendar heap, pinned by
-  /// the differential tests in tests/test_ladder_calendar.cpp (DESIGN.md
-  /// §12).
+  /// arrivals win every merge tie structurally -- DESIGN.md §11).  A
+  /// ladder queue: O(1) amortized push/pop with the exact (time, seq) pop
+  /// order of the reference heap (DESIGN.md §12).
   des::LadderCalendar<des::LifecycleEvent> events_;
 
   /// Per-VM state, keyed by workload index.  A record is created when a VM
   /// is admitted (or first requeued) and erased at its final event
   /// (departure, kill without requeue, or last failed retry), so the table
   /// holds the live census plus pending retries -- bounded by the cluster,
-  /// never by the stream length.  Replaces the PR 3 workload-length dense
-  /// vectors (live/slot/epoch/hold/attempt arrays), whose O(N) footprint
-  /// and per-run O(N) clears were the last scaling wall to 10M+ VMs.
-  ///
-  /// A SlotArena since §13 (previously U32Map): every per-event lookup is
-  /// a direct paged index instead of a hash probe, and -- unlike the hash
-  /// table, whose find_or_insert could rehash *resident* records -- the
-  /// references it hands out are stable until the key is erased, which
-  /// retires the defensive copy-out/re-lookup dance the admission and
-  /// retry paths used to need.
+  /// never by the stream length.  Every lookup is a direct paged index, and
+  /// the references the arena hands out stay valid until their key is
+  /// erased (DESIGN.md §13).
   struct VmState {
     wl::VmRequest vm{};          ///< the request (streams are not replayable)
     std::uint32_t slot = 0;      ///< slot_pool_ index, meaningful iff live
@@ -295,12 +282,10 @@ class Engine {
   };
   SlotArena<VmState> vms_;
 
-  /// Live-placement slot pool.  A Placement is ~600 bytes, so sizing the
-  /// table by workload length made run() O(N) in *memory* (3 GB at the
-  /// 5M-VM bench row) for a cluster that can only host a few thousand VMs
-  /// at once.  Instead VmState::slot indexes into slot_pool_, which grows
-  /// to the peak number of concurrently live VMs and is recycled through
-  /// free_slots_ -- bounded by the cluster, not the workload.
+  /// Live-placement slot pool.  A Placement is ~600 bytes, so it lives
+  /// outside the arena record: VmState::slot indexes into slot_pool_, which
+  /// grows to the peak number of concurrently live VMs and is recycled
+  /// through free_slots_ -- bounded by the cluster, not the workload.
   std::vector<core::Placement> slot_pool_;
   std::vector<std::uint32_t> free_slots_;
 

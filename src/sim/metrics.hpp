@@ -24,7 +24,7 @@ struct SimMetrics {
   /// "Inter-rack VM assignments" as the paper's Figures 5/7/10 count them:
   /// the VM's CPU and RAM land in different racks.  (Figure 10's averages
   /// -- e.g. 226 ns = 110 + 220 * 0.527 -- tie the latency directly to this
-  /// fraction, which pins the definition; see EXPERIMENTS.md.)
+  /// fraction, which pins the definition; see DESIGN.md §2.4.)
   std::uint64_t inter_rack_placements = 0;
   /// Broader diagnostic: any resource pair (CPU-RAM or RAM-storage) spans
   /// racks.  NULB/NALB routinely split RAM from storage even when CPU-RAM

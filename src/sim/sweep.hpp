@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
 #include "sim/scenario.hpp"
@@ -182,7 +183,9 @@ struct SweepResult {
   std::uint64_t seed = 0; ///< the cell's seed (workload RNG stream root)
   SimMetrics metrics;     ///< carries the workload label and algorithm name
   Timeline timeline;                ///< populated when record_timeline
-  std::vector<double> latency_ns;  ///< populated when record_latency
+  /// Per-placement latency in ns (Engine::set_latency_histogram),
+  /// populated when record_latency.
+  Log2Histogram latency_ns;
 };
 
 class SweepRunner {

@@ -97,7 +97,8 @@ TEST(U32Map, RandomChurnMatchesUnorderedMap) {
     const auto key = static_cast<std::uint32_t>(rng.uniform_int(0, 799));
     const auto action = rng.uniform_int(0, 9);
     if (action < 5) {
-      const std::string value = "v" + std::to_string(op);
+      std::string value = "v";
+      value += std::to_string(op);
       map.find_or_insert(key) = value;
       ref[key] = value;
     } else if (action < 8) {

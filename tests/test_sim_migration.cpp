@@ -351,7 +351,9 @@ TEST(MigrationEngine, SkipWhileDegradedWaitsForRepair) {
   const SimMetrics m = engine.run(one_vm_workload(), "t");
   EXPECT_EQ(m.migrated, 1u);
   for (const TimelinePoint& p : timeline.points()) {
-    if (p.migrated_total > 0) EXPECT_GE(p.time, 500.0);
+    if (p.migrated_total > 0) {
+      EXPECT_GE(p.time, 500.0);
+    }
   }
 }
 

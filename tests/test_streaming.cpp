@@ -6,8 +6,11 @@
 // mid-run checkpoint must match the uninterrupted run bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -526,6 +529,106 @@ TEST(StreamingCheckpoint, PreArenaV1FixtureRestoresBitIdentically) {
   EXPECT_GT(full.killed, 0u);
   EXPECT_GT(full.migrated, 0u);
   EXPECT_GT(full.requeued, 0u);
+}
+
+/// The PreArenaV1FixtureRestoresBitIdentically configuration: four fault
+/// actions (box fail/repair at 20000/35000, link fail/repair at
+/// 22000/36000) plus periodic migrations over 4000 synthetic VMs.
+struct PreArenaRun {
+  FaultPlan faults;
+  MigrationPlan migrations;
+  wl::SyntheticConfig cfg;
+
+  PreArenaRun() {
+    faults.seed = 5;
+    faults.retry.max_attempts = 2;
+    faults.retry.delay_tu = 3.0;
+    const auto add = [&](FaultAction::Kind kind, double at) {
+      FaultAction a;
+      a.kind = kind;
+      a.at_time = at;
+      if (a.targets_links()) {
+        a.random_links = 1;
+      } else {
+        a.random_boxes = 2;
+      }
+      faults.actions.push_back(a);
+    };
+    add(FaultAction::Kind::Fail, 20000.0);
+    add(FaultAction::Kind::Repair, 35000.0);
+    add(FaultAction::Kind::LinkFail, 22000.0);
+    add(FaultAction::Kind::LinkRepair, 36000.0);
+    faults.validate();
+    migrations.period_tu = 25.0;
+    migrations.per_sweep_budget = 4;
+    migrations.validate();
+    cfg.count = 4000;
+  }
+
+  void arm(Engine& engine) const {
+    engine.set_fault_plan(&faults);
+    engine.set_migration_plan(&migrations);
+  }
+
+  /// Every checkpoint a full run emits at the given cadence.
+  [[nodiscard]] std::vector<std::string> checkpoints(
+      std::uint64_t every_events) const {
+    Engine engine(Scenario::paper_defaults(), "RISA");
+    arm(engine);
+    std::vector<std::string> out;
+    CheckpointPolicy policy;
+    policy.every_events = every_events;
+    policy.emit = [&out](const std::string& bytes) { out.push_back(bytes); };
+    wl::SyntheticStreamSource source(cfg, kDefaultSeed);
+    (void)engine.run_stream(source, "prearena", &policy);
+    return out;
+  }
+};
+
+TEST(StreamingCheckpoint, WriterReproducesPreArenaV1FixtureBytes) {
+  // The reader is pinned by the fixture test above; this pins the writer,
+  // so a codec that drifted on both sides symmetrically still fails.
+  std::ifstream in(RISA_TEST_DATA_DIR "/prearena_v1.ckpt", std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing committed checkpoint fixture";
+  const std::string fixture((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const std::vector<std::string> emitted = PreArenaRun().checkpoints(2000);
+  ASSERT_FALSE(emitted.empty());
+  EXPECT_EQ(emitted.front().size(), fixture.size());
+  EXPECT_TRUE(emitted.front() == fixture)
+      << "first checkpoint differs from tests/data/prearena_v1.ckpt";
+}
+
+TEST(StreamingCheckpoint, ResumeRejectsOutOfRangeFaultActionSubject) {
+  // A calendar entry's subject indexes the fault plan's actions for the
+  // four fault kinds.  Patch the pending 35000.0 Repair entry (action 1)
+  // to name an action the plan does not have: the load must reject it
+  // instead of indexing past plan.actions when the event fires.
+  const PreArenaRun run;
+  std::string bytes = run.checkpoints(2000).front();
+  // Entry layout: f64 time, u64 seq, u8 kind, u32 subject, u32 epoch.
+  const auto time_bits = std::bit_cast<std::uint64_t>(35000.0);
+  std::string time_le(8, '\0');
+  for (int i = 0; i < 8; ++i) {
+    time_le[i] = static_cast<char>((time_bits >> (8 * i)) & 0xFF);
+  }
+  const auto repair = static_cast<char>(des::LifecycleKind::BoxRepair);
+  std::vector<std::size_t> hits;
+  for (std::size_t pos = bytes.find(time_le); pos != std::string::npos;
+       pos = bytes.find(time_le, pos + 1)) {
+    if (pos + 25 <= bytes.size() && bytes[pos + 16] == repair &&
+        bytes.compare(pos + 17, 4, std::string("\x01\0\0\0", 4)) == 0) {
+      hits.push_back(pos);
+    }
+  }
+  ASSERT_EQ(hits.size(), 1u) << "the pending Repair entry was not found";
+  bytes[hits[0] + 17] = static_cast<char>(run.faults.actions.size());
+
+  Engine engine(Scenario::paper_defaults(), "RISA");
+  run.arm(engine);
+  wl::SyntheticStreamSource source(run.cfg, kDefaultSeed);
+  std::istringstream in(bytes);
+  EXPECT_THROW((void)engine.resume_stream(in, source), std::runtime_error);
 }
 
 TEST(StreamingCheckpoint, ResumeRejectsAlgorithmMismatch) {
